@@ -98,8 +98,10 @@ type Options struct {
 	Depth int
 	// Policy is the Phase-3 policy (default PolicyRandom).
 	Policy Policy
-	// Shards selects the round engine: 0 (default) serial, >0 that many
-	// shards, -1 one shard per GOMAXPROCS. See core.Config.Shards.
+	// Shards is the round engine's parallelism width: 0 (default) and 1
+	// run one shard inline, >1 that many shards, -1 one shard per
+	// GOMAXPROCS. The trajectory is the same for every value. See
+	// core.Config.Shards.
 	Shards int
 }
 
@@ -123,8 +125,9 @@ func WithDepth(h int) Option { return func(o *Options) { o.Depth = h } }
 // WithPolicy sets the Phase-3 replacement policy.
 func WithPolicy(p Policy) Option { return func(o *Options) { o.Policy = p } }
 
-// WithShards selects the sharded round engine: s shards (-1 for one per
-// GOMAXPROCS, 0 for the serial engine).
+// WithShards sets the round engine's parallelism width: s shards (0 and
+// 1 both run one shard inline, -1 one shard per GOMAXPROCS). It changes
+// wall time only, never the trajectory.
 func WithShards(s int) Option { return func(o *Options) { o.Shards = s } }
 
 // NewSystem builds a deployment: a locality-aware BA physical topology,

@@ -91,7 +91,7 @@ func run(args []string) int {
 	steps := fs.Int("steps", 12, "ACE rounds")
 	queries := fs.Int("queries", 50, "queries sampled per step")
 	policyName := fs.String("policy", "random", "random | naive | closest")
-	shards := fs.Int("shards", 0, "sharded round engine: shard count (0 serial, -1 GOMAXPROCS)")
+	shards := fs.Int("shards", 0, "round engine parallelism: shard count (0 or 1 one shard, -1 GOMAXPROCS); the trajectory is the same for every value")
 	verbose := fs.Bool("v", false, "print per-round phase timings and query means")
 	metricsPath := fs.String("metrics", "", "write per-round/per-query JSONL records to this file")
 	debugAddr := fs.String("debug", "", "serve pprof and the obs registry on this address (e.g. :6060)")
@@ -561,12 +561,10 @@ func run(args []string) int {
 				fmt.Printf("      mst-repair: hits %d  fallbacks %d  attach %d  swap %d\n",
 					rep.RepairHits, rep.RepairFallbacks, rep.AttachOps, rep.SwapOps)
 			}
-			if rep.Shards > 0 {
-				fmt.Printf("      shards %d: merge %.2fms (sort %.2fms, %d segments, %d serial)  imbalance build %.1f%% propose %.1f%%\n",
-					rep.Shards, float64(rep.MergeNanos)/1e6, float64(rep.MergeSortNanos)/1e6,
-					rep.MergeSegments, rep.MergeSerialFallbacks,
-					100*rep.ShardImbalance, 100*rep.ProposeImbalance)
-			}
+			fmt.Printf("      shards %d: merge %.2fms (sort %.2fms, %d segments, %d serial)  imbalance build %.1f%% propose %.1f%%\n",
+				rep.Shards, float64(rep.MergeNanos)/1e6, float64(rep.MergeSortNanos)/1e6,
+				rep.MergeSegments, rep.MergeSerialFallbacks,
+				100*rep.ShardImbalance, 100*rep.ProposeImbalance)
 			if inj != nil || rep.PurgedEdges > 0 {
 				fmt.Printf("      faults: retries %d  timeouts %d  stale %d/%d  blacklist %d  dial-fail %d  purged %d\n",
 					rep.ProbeRetries, rep.ProbeTimeouts, rep.StaleMarked, rep.StaleExpired,

@@ -101,39 +101,18 @@ type Config struct {
 	// one.
 	MaxDegree int
 
-	// Shards selects the round engine. 0 (the default) runs the serial
-	// engine. A positive value runs the sharded engine of shard.go with
-	// exactly that many shards — peers partition into contiguous PeerID
-	// ranges, Phase 1/2 sweeps and the Phase-3 propose pass fan out
-	// across them, and overlay mutations apply through the seed-keyed
-	// cross-shard merge (parallelized over conflict-free segments).
-	// −1 caps the shard count at runtime.GOMAXPROCS and lets each
-	// fan-out narrow itself to its actual work — no more shards than
-	// work/minPerShard (shard.go: fanWidth) — so small rounds skip the
-	// fan-out overhead entirely. Sharded rounds are bit-identical across
-	// shard counts (Shards=k matches Shards=1 for every k, which is what
-	// makes the per-phase narrowing legal), but the sharded engine's
-	// Phase-3 propose/merge split is a different — equally
-	// protocol-faithful — trajectory than the serial engine's in-place
-	// Phase 3; see DESIGN.md §5e.
+	// Shards is the round engine's parallelism width. Peers partition
+	// into contiguous PeerID ranges, one per shard; Phase 1/2 sweeps and
+	// the Phase-3 propose pass fan out across them, and overlay mutations
+	// apply through the seed-keyed cross-shard merge (parallelized over
+	// conflict-free segments). 0 and 1 both run one shard inline, with no
+	// fan-out goroutines; k > 1 runs k shards. −1 caps the shard count at
+	// runtime.GOMAXPROCS and lets each fan-out narrow itself to its actual
+	// work — no more shards than work/minPerShard (shard.go: fanWidth) —
+	// so small rounds skip the fan-out overhead entirely. The trajectory
+	// is identical for every value (DESIGN.md §5e); only wall time
+	// changes.
 	Shards int
-
-	// RebuildFraction is the dirty-region share of the live population
-	// above which RebuildTrees abandons the incremental path and
-	// rebuilds every peer (walking a dirty set close to N costs more
-	// than the flat sweep). 0 selects DefaultRebuildFraction; values
-	// >= 1 never fall back.
-	RebuildFraction float64
-	// NoIncremental forces every RebuildTrees to reconstruct all peer
-	// states from scratch — the pre-journal behavior, kept as the
-	// reference side of the differential tests and as an escape hatch.
-	NoIncremental bool
-	// NoRepair disables the incremental tree-repair kernel (repair.go):
-	// dirty peers always rebuild their closure MST with dense Prim, as
-	// before PR 8. The canonical MST is unique, so the trajectory is
-	// identical either way — this is the reference side of the
-	// repair-vs-full differential tests and an escape hatch.
-	NoRepair bool
 
 	// Fault-hardening knobs. They shape how the protocol reacts to an
 	// attached fault.Injector; with no injector none of them is ever
@@ -237,9 +216,6 @@ func (c Config) validate() error {
 	}
 	if c.MaxDegree > 0 && c.MaxDegree < c.MinDegree {
 		return fmt.Errorf("core: MaxDegree %d below MinDegree %d", c.MaxDegree, c.MinDegree)
-	}
-	if c.RebuildFraction < 0 {
-		return fmt.Errorf("core: negative RebuildFraction")
 	}
 	if c.Shards < -1 {
 		return fmt.Errorf("core: Shards %d, need >= -1", c.Shards)

@@ -222,6 +222,18 @@ func figure4Net(t *testing.T, aPos, bPos, hPos int) *overlay.Network {
 	return net
 }
 
+// applyTriangle applies the Figure-4 rules to candidate h drawn from
+// non-flooding neighbor b of peer a, through the merge's apply path: it
+// ships the proposal a's propose pass would produce after probing h.
+func applyTriangle(o *Optimizer, a, b, h overlay.PeerID, rep *StepReport) {
+	av := o.net.CostsFrom(a)
+	pr := proposal{
+		ah: float32(av.To(h)), ab: float32(av.To(b)), bh: float32(o.net.CostsFrom(b).To(h)),
+		a: uint32(a), b: uint32(b), h: uint32(h), kind: propFigure4,
+	}
+	o.applyOne(&applyCtx{report: rep}, &pr)
+}
+
 func TestFigure4bReplace(t *testing.T) {
 	// A=0, B=100, H=50: AH(50) < AB(100) → replace: cut A—B, add A—H.
 	net := figure4Net(t, 0, 100, 50)
@@ -232,7 +244,7 @@ func TestFigure4bReplace(t *testing.T) {
 		t.Fatalf("precondition: nonflooding(A) = %v, want [B=1]", st.NonFlooding)
 	}
 	var rep StepReport
-	o.applyFigure4(o.net.CostsFrom(0), 0, 1, 2, &rep)
+	applyTriangle(o, 0, 1, 2, &rep)
 	if rep.Replacements != 1 {
 		t.Fatalf("report = %+v, want 1 replacement", rep)
 	}
@@ -255,7 +267,7 @@ func TestFigure4cKeepAndDeferredCut(t *testing.T) {
 	o := newOpt(t, net, 1)
 	o.RebuildTrees()
 	var rep StepReport
-	o.applyFigure4(o.net.CostsFrom(0), 0, 1, 2, &rep)
+	applyTriangle(o, 0, 1, 2, &rep)
 	if rep.KeptNew != 1 || rep.Replacements != 0 {
 		t.Fatalf("report = %+v, want KeptNew=1", rep)
 	}
@@ -296,7 +308,7 @@ func TestFigure4dNoChange(t *testing.T) {
 	o.RebuildTrees()
 	edgesBefore := net.NumEdges()
 	var rep StepReport
-	o.applyFigure4(o.net.CostsFrom(0), 0, 1, 2, &rep)
+	applyTriangle(o, 0, 1, 2, &rep)
 	if rep.Replacements+rep.KeptNew != 0 || net.NumEdges() != edgesBefore {
 		t.Fatalf("Figure 4(d) changed the overlay: %+v", rep)
 	}
@@ -307,7 +319,7 @@ func TestPendingCutAbandonedOnChurn(t *testing.T) {
 	o := newOpt(t, net, 1)
 	o.RebuildTrees()
 	var rep StepReport
-	o.applyFigure4(o.net.CostsFrom(0), 0, 1, 2, &rep) // case (c): pending (A,B,H)
+	applyTriangle(o, 0, 1, 2, &rep) // case (c): pending (A,B,H)
 	if o.PendingCuts() != 1 {
 		t.Fatal("precondition: want one pending cut")
 	}

@@ -107,10 +107,10 @@ func (o *Optimizer) faultPhase(peers []overlay.PeerID, report *StepReport) {
 	// nobody reached this cycle ages toward StaleTTL.
 	//
 	// Targets are independent (each target's pass writes only its own
-	// staleFor/excluded slots and reads frozen network state), so the
-	// sharded engine fans the sweep out across shards; the serial path
-	// runs the same per-target body through shard 0's accumulators, and
-	// foldSweep re-serializes both into the legacy accumulation order.
+	// staleFor/excluded slots and reads frozen network state), so with
+	// several shards the sweep fans out across them; a single shard runs
+	// the same per-target body inline through shard 0's accumulators, and
+	// foldSweep re-serializes both into one accumulation order.
 	retries := o.retryLimit()
 	ttl := o.staleTTL()
 	if s := o.fanWidth(o.shardCount(), len(peers)); s > 1 {
@@ -193,8 +193,8 @@ func (o *Optimizer) probeOneTarget(b overlay.PeerID, inj *fault.Injector, retrie
 // optimizer's exclusion-flip list. Retry costs were captured one per
 // retry in target order, and shards own ascending contiguous ranges of
 // the ascending live-peer slice, so folding shards in order reproduces
-// the serial engine's float additions term for term — sharded Phase 1
-// stays bit-identical to serial.
+// the single-shard float additions term for term — Phase 1 stays
+// bit-identical across shard counts.
 func (o *Optimizer) foldSweep(sh *shardState, report *StepReport) {
 	report.ProbeRetries += sh.retries
 	report.ProbeTimeouts += sh.timeouts
@@ -213,8 +213,9 @@ func (o *Optimizer) blacklisted(h overlay.PeerID) bool {
 
 // tryConnect is net.Connect with fault injection: the dial can fail
 // (feeding the blacklist streak), and a success clears the target's
-// failure history. With no injector it is a plain Connect. The staged
-// variant used by the parallel merge is connectCtx (optimizer.go).
+// failure history. With no injector it is a plain Connect. MinDegree
+// repair dials through it; the merge calls connectCtx (optimizer.go)
+// directly.
 func (o *Optimizer) tryConnect(a, h overlay.PeerID, report *StepReport) bool {
 	cx := applyCtx{report: report, trace: o.ring0()}
 	return o.connectCtx(&cx, a, h)

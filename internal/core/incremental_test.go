@@ -56,6 +56,16 @@ func newDiffSide(t *testing.T, seed int64, cfg Config) *diffSide {
 	}
 }
 
+// newFullSide is newDiffSide with the noIncremental hook set: every
+// rebuild reconstructs all peer states from scratch, the reference side
+// of the incremental-vs-full differentials.
+func newFullSide(t *testing.T, seed int64, cfg Config) *diffSide {
+	t.Helper()
+	s := newDiffSide(t, seed, cfg)
+	s.opt.noIncremental = true
+	return s
+}
+
 // churnStep removes k random live peers and rejoins k random dead ones.
 func (s *diffSide) churnStep(k int) {
 	n := s.net.N()
@@ -125,13 +135,9 @@ func TestIncrementalMatchesFullRebuild(t *testing.T) {
 	const seed = 20240806
 	const rounds = 210
 
-	incCfg := DefaultConfig(2)
-	incCfg.RebuildFraction = 1 // never fall back: exercise the dirty-region path every round
-	fullCfg := DefaultConfig(2)
-	fullCfg.NoIncremental = true
-
-	inc := newDiffSide(t, seed, incCfg)
-	full := newDiffSide(t, seed, fullCfg)
+	cfg := DefaultConfig(2)
+	inc := newDiffSide(t, seed, cfg)
+	full := newFullSide(t, seed, cfg)
 	requireSameEdges(t, -1, inc.net, full.net)
 
 	for r := 0; r < rounds; r++ {
@@ -169,13 +175,9 @@ func TestIncrementalChurnOnlySavesWork(t *testing.T) {
 	const seed = 9
 	const rounds = 200
 
-	incCfg := DefaultConfig(1)
-	incCfg.RebuildFraction = 1
-	fullCfg := DefaultConfig(1)
-	fullCfg.NoIncremental = true
-
-	inc := newDiffSide(t, seed, incCfg)
-	full := newDiffSide(t, seed, fullCfg)
+	cfg := DefaultConfig(1)
+	inc := newDiffSide(t, seed, cfg)
+	full := newFullSide(t, seed, cfg)
 
 	for r := 0; r < rounds; r++ {
 		inc.churnStep(1)
@@ -209,13 +211,9 @@ func TestIncrementalChurnOnlySavesWorkDepth2(t *testing.T) {
 	const seed = 13
 	const rounds = 120
 
-	incCfg := DefaultConfig(2)
-	incCfg.RebuildFraction = 1
-	fullCfg := DefaultConfig(2)
-	fullCfg.NoIncremental = true
-
-	inc := newDiffSide(t, seed, incCfg)
-	full := newDiffSide(t, seed, fullCfg)
+	cfg := DefaultConfig(2)
+	inc := newDiffSide(t, seed, cfg)
+	full := newFullSide(t, seed, cfg)
 
 	for r := 0; r < rounds; r++ {
 		inc.churnStep(1)
@@ -268,38 +266,6 @@ func TestBuildStatesParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestIncrementalWithFallbackThreshold runs the same differential check
-// with a RebuildFraction low enough that rounds whose dirty region grows
-// past the threshold exercise the mixed incremental/full regime and the
-// resync bookkeeping around it. (The default fraction no longer falls
-// back on size since the repair kernel landed, so the threshold is
-// pinned explicitly here.)
-func TestIncrementalWithFallbackThreshold(t *testing.T) {
-	const seed = 77
-	const rounds = 60
-
-	incCfg := DefaultConfig(2)
-	incCfg.RebuildFraction = 0.8
-	fullCfg := DefaultConfig(2)
-	fullCfg.NoIncremental = true
-
-	inc := newDiffSide(t, seed, incCfg)
-	full := newDiffSide(t, seed, fullCfg)
-
-	for r := 0; r < rounds; r++ {
-		inc.churnStep(1)
-		full.churnStep(1)
-		ri := stripTiming(inc.opt.Round(inc.round))
-		rf := stripTiming(full.opt.Round(full.round))
-		if ri != rf {
-			t.Fatalf("round %d: reports diverged\nincremental: %+v\nfull:        %+v", r, ri, rf)
-		}
-		requireSameStates(t, r, inc.opt, full.opt, inc.net.N())
-		requireSameEdges(t, r, inc.net, full.net)
-	}
-	t.Logf("stats with fallback: %+v", inc.opt.RebuildStats())
-}
-
 // TestRebuildTreesQuiescentIsFree checks the fastest path: with no
 // journaled events between rounds, an incremental rebuild reconstructs
 // nothing and the exchange cost still prices every live peer.
@@ -338,13 +304,9 @@ func TestIncrementalMatchesFullUnderFaults(t *testing.T) {
 		UnresponsivePeriod:   6,
 	}
 
-	incCfg := DefaultConfig(2)
-	incCfg.RebuildFraction = 1 // never fall back: the dirty-region path must be exact
-	fullCfg := DefaultConfig(2)
-	fullCfg.NoIncremental = true
-
-	inc := newDiffSide(t, seed, incCfg)
-	full := newDiffSide(t, seed, fullCfg)
+	cfg := DefaultConfig(2)
+	inc := newDiffSide(t, seed, cfg)
+	full := newFullSide(t, seed, cfg)
 	inc.net.SetFaults(newInjector(t, plan))
 	full.net.SetFaults(newInjector(t, plan))
 

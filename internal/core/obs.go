@@ -16,7 +16,7 @@ var (
 
 	// How rebuilds resolved: full sweeps, incremental (dirty-region)
 	// rebuilds, and incremental attempts that fell back to a full sweep
-	// because the dirty region exceeded RebuildFraction.
+	// because the journal no longer reached the optimizer's cursor.
 	cRebuildFull        = obs.NewCounter("ace.core.rebuild.full")
 	cRebuildIncremental = obs.NewCounter("ace.core.rebuild.incremental")
 	cRebuildFallback    = obs.NewCounter("ace.core.rebuild.fallback")

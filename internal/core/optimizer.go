@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sync"
 
+	"ace/internal/obs"
 	"ace/internal/obs/tracer"
 	"ace/internal/overlay"
 	"ace/internal/sim"
@@ -19,9 +20,8 @@ import (
 // cursor into the network's mutation journal, and each RebuildTrees
 // rebuilds only the peers whose h-closure a journaled event could have
 // touched (the dirty region), keeping every other PeerState cached from
-// the previous round. A full rebuild runs on the first round, when the
-// journal no longer reaches the cursor, or when the dirty region exceeds
-// RebuildFraction of the live population.
+// the previous round. A full rebuild runs on the first round and
+// whenever the journal no longer reaches the cursor.
 type Optimizer struct {
 	net *overlay.Network
 	cfg Config
@@ -73,7 +73,6 @@ type Optimizer struct {
 	// Scratch buffers reused across rounds; valid only single-threaded.
 	aliveBuf []overlay.PeerID
 	dirtyBuf []overlay.PeerID
-	candBuf  []overlay.PeerID
 	dirtySet peerBitset
 	flipSet  peerBitset
 	flipBuf  []overlay.PeerID
@@ -81,7 +80,7 @@ type Optimizer struct {
 	// scratch holds one buildState arena per rebuild worker.
 	scratch []*buildScratch
 
-	// Sharded-engine state (see shard.go): per-shard arenas, the
+	// Round-engine state (see shard.go): per-shard arenas, the
 	// pipelined-merge run buffers (one per merge-tree node, reused
 	// across rounds), the per-peer probe-traffic slots whose serial fold
 	// keeps the float accumulation independent of the shard count, the
@@ -94,10 +93,16 @@ type Optimizer struct {
 	stateBuf      []*PeerState
 	seg           mergeSegments
 	lastImbalance float64
-	// forceSerialMerge pins the merge to the serial stream-order apply;
-	// determinism tests flip it to prove the conflict-partitioned path
-	// produces the identical trajectory.
+	// Reference-side test hooks; each pins a slower path whose trajectory
+	// must be bit-identical to the default one. forceSerialMerge pins the
+	// merge to the serial stream-order apply (the conflict-partitioned
+	// path's reference); noIncremental makes every rebuild reconstruct
+	// all peer states from scratch (the dirty-region path's reference);
+	// noRepair makes dirty peers rebuild their closure MST with dense Prim
+	// (the repair kernel's reference).
 	forceSerialMerge bool
+	noIncremental    bool
+	noRepair         bool
 
 	// Fault-hardening state (see fault.go); all of it stays nil/zero —
 	// and costs nothing — until a fault.Injector is attached to the
@@ -141,17 +146,6 @@ const PendingTTL = 3
 // the tentative extra degree a peer carries.
 const MaxPending = 2
 
-// DefaultRebuildFraction is the dirty-region share of the live population
-// above which the incremental path falls back to a full rebuild. The
-// reverse closure index makes the dirty set exact and nearly free to
-// compute, and with the repair kernel a dirty peer usually costs less
-// than a from-scratch build (the dense Prim is skipped): the incremental
-// path now wins even when every live peer is dirty — a full rebuild
-// additionally clears all cached states, which forfeits repair entirely.
-// So the default never falls back on size; the full path remains for
-// desyncs and explicit NoIncremental runs.
-const DefaultRebuildFraction = 1.0
-
 // StepReport summarizes one ACE round for instrumentation and tests.
 type StepReport struct {
 	Probes       int     // Phase-3 candidate probes issued
@@ -187,13 +181,14 @@ type StepReport struct {
 	Phase3Nanos  int64 // pending cuts + the per-peer replacement policy
 	RepairNanos  int64 // MinDegree repair
 
-	// Sharded-engine diagnostics; all zero when the serial engine ran
-	// the round (Config.Shards == 0). MergeNanos is the wall-clock the
-	// merge adds after the propose fan-out completes (the pipelined
-	// pre-merge overlaps proposing and is excluded); MergeSortNanos sums
-	// the per-shard proposal sorts, which run concurrently inside the
-	// fan-out, so it is CPU time, not wall-clock, and takes no part in
-	// the phase-nanos ≤ elapsed contract.
+	// Round-engine diagnostics. Shards is the shard count the round ran
+	// with (at least 1); the segment and imbalance fields stay
+	// zero on single-shard rounds, which merge serially. MergeNanos is
+	// the wall-clock the merge adds after the propose fan-out completes
+	// (the pipelined pre-merge overlaps proposing and is excluded);
+	// MergeSortNanos sums the per-shard proposal sorts, which run
+	// concurrently inside the fan-out, so it is CPU time, not wall-clock,
+	// and takes no part in the phase-nanos ≤ elapsed contract.
 	Shards               int     // shard cap the round executed with
 	MergeNanos           int64   // cross-shard merge + apply, within Phase3Nanos
 	MergeSortNanos       int64   // per-shard proposal sorts, summed CPU time
@@ -203,7 +198,7 @@ type StepReport struct {
 	ProposeImbalance     float64 // max shard's proposal count over the mean, −1
 
 	// Incremental tree-repair diagnostics (see repair.go); engine
-	// bookkeeping like the sharded-engine fields above, zeroed by
+	// bookkeeping like the round-engine fields above, zeroed by
 	// differential tests before comparing trajectories. RepairHits counts
 	// dirty states whose tree was repaired from the previous round
 	// without a dense Prim; RepairFallbacks counts dirty states that ran
@@ -284,18 +279,16 @@ func (o *Optimizer) RebuildTrees() float64 {
 func (o *Optimizer) rebuild(peers []overlay.PeerID) {
 	o.lastRepair = repairTally{}
 	events, next, ok := o.net.EventsSince(o.cursor)
-	if o.synced && ok && !o.cfg.NoIncremental {
-		if len(events) == 0 && len(o.exclFlips) == 0 {
+	if o.synced && !o.noIncremental {
+		if ok {
+			if len(events) > 0 || len(o.exclFlips) > 0 {
+				o.rebuildDirty(events, o.dirtyRegion(events), peers)
+				o.net.CompactJournal(next)
+			}
 			o.cursor = next
 			return
 		}
-		if dirty := o.dirtyRegion(events, len(peers)); dirty != nil {
-			o.rebuildDirty(events, dirty, peers)
-			o.cursor = next
-			o.net.CompactJournal(o.cursor)
-			return
-		}
-		cRebuildFallback.Inc() // dirty region above RebuildFraction
+		cRebuildFallback.Inc() // the journal no longer reaches the cursor
 	}
 	clear(o.state)
 	clear(o.contrib)
@@ -326,7 +319,7 @@ func (o *Optimizer) revIdle() bool {
 }
 
 func (o *Optimizer) repairCtxFor() *repairCtx {
-	if o.cfg.NoRepair || o.cfg.SparseKnowledge || len(o.exclFlips) > 0 {
+	if o.noRepair || o.cfg.SparseKnowledge || len(o.exclFlips) > 0 {
 		return nil
 	}
 	return &repairCtx{states: o.state, recycle: o.revIdle()}
@@ -344,9 +337,7 @@ func (o *Optimizer) repairCtxFor() *repairCtx {
 // overlay edges, so there every posting counts, not just interior ones.
 // This is exact — no h-hop overapproximation over current adjacency —
 // which is what lets the incremental path keep firing once Phase-3
-// rewiring spreads endpoints across the overlay. It returns nil when
-// the region exceeds the RebuildFraction threshold and a full rebuild
-// is the better deal.
+// rewiring spreads endpoints across the overlay.
 //
 // Staleness exclusions (o.exclFlips) dirty closures the journal knows
 // nothing about: an excluded peer vanishes from — or a readmitted one
@@ -354,22 +345,11 @@ func (o *Optimizer) repairCtxFor() *repairCtx {
 // all live postings, not just interior ones.
 //
 // The returned set is the reusable o.dirtySet bitset, valid until the
-// next dirtyRegion call. Under the sharded engine the posting scan fans
-// out across shards (shard.go); the union of per-shard bitsets is
-// order-free, so the resolved set — and therefore the fallback decision
-// — is identical for every shard count and goroutine schedule.
-func (o *Optimizer) dirtyRegion(events []overlay.Event, nAlive int) *peerBitset {
-	frac := o.cfg.RebuildFraction
-	if frac == 0 {
-		frac = DefaultRebuildFraction
-	}
-	// The dirty region may include dead peers (their state still has to
-	// be dropped), so "never fall back" means a bound of every slot.
-	limit := o.net.N()
-	if frac < 1 {
-		limit = int(frac * float64(nAlive))
-	}
-
+// next dirtyRegion call. With several shards the posting scan fans out
+// across them (shard.go); the union of per-shard bitsets is order-free,
+// so the resolved set is identical for every shard count and goroutine
+// schedule.
+func (o *Optimizer) dirtyRegion(events []overlay.Event) *peerBitset {
 	sparse := o.cfg.SparseKnowledge
 	dirty := &o.dirtySet
 	dirty.reset(o.net.N())
@@ -421,9 +401,6 @@ func (o *Optimizer) dirtyRegion(events []overlay.Event, nAlive int) *peerBitset 
 				o.markNeighborhood(dirty, f)
 			}
 		}
-	}
-	if dirty.count() > limit {
-		return nil
 	}
 	return dirty
 }
@@ -487,9 +464,9 @@ func (o *Optimizer) rebuildDirty(events []overlay.Event, dirty *peerBitset, peer
 // buildStates runs Phases 1–2 for the listed peers in parallel (the
 // network is not mutated during a rebuild, and the distance oracle is
 // safe for concurrent reads), committing results and exchange
-// contributions in deterministic order. The serial engine distributes
-// work over a pool of GOMAXPROCS workers; the sharded engine assigns
-// each peer to the shard owning its id range (shard.go).
+// contributions in deterministic order. A single-shard round distributes
+// work over a pool of GOMAXPROCS workers; with several shards each peer
+// goes to the shard owning its id range (shard.go).
 func (o *Optimizer) buildStates(list []overlay.PeerID, rc *repairCtx) {
 	if len(list) == 0 {
 		return
@@ -581,7 +558,7 @@ func (o *Optimizer) stateSlots(n int) []*PeerState {
 
 // commitStates installs freshly built states in list order, maintaining
 // the reverse index and the cached exchange contributions. It is the
-// single commit path shared by the serial and sharded build fan-outs,
+// single commit path shared by the worker-pool and sharded build fan-outs,
 // which is what makes their results indistinguishable: the parallel part
 // writes only disjoint slots of states, and everything order-sensitive
 // happens here, serially.
@@ -631,60 +608,51 @@ func (o *Optimizer) exchangeCost(peers []overlay.PeerID) float64 {
 }
 
 // Round executes one full ACE step: Phases 1–2 (rebuild) followed by
-// Phase 3 (one replacement attempt per peer, per the configured policy).
-// The live-peer slice is computed once and threaded through the whole
-// round — rounds rewire edges but never change liveness.
+// Phase 3 and MinDegree repair. The live-peer slice is computed once and
+// threaded through the whole round — rounds rewire edges but never change
+// liveness.
 //
-// With Config.Shards != 0 the round runs on the sharded engine
-// (shard.go): Phase 3 splits into a parallel shard-local propose pass
-// against the frozen network and a serial cross-shard merge ordered by
-// seed-derived keys. Its outcome is a pure function of (state, seed) —
-// identical for every shard count — but not the same trajectory as this
-// serial engine, whose peers act on each other's mutations within the
-// round.
+// Phase 3 runs as the paper's peers do, concurrently on what each learned
+// at the last exchange: a shard-local propose pass against the frozen
+// network, then a merge that applies the proposals in an order keyed by
+// seed-derived hashes (shard.go). The outcome is a pure function of
+// (state, seed), identical for every shard count. The phase spans wrap
+// each fan-out end to end, so StepReport's nanos stay wall-clock; they
+// are the single source of truth for phase timing, and the same
+// measurement lands in the registry histograms when observability is
+// enabled.
 func (o *Optimizer) Round(rng *sim.RNG) StepReport {
-	if s := o.shardCount(); s > 0 {
-		return o.roundSharded(rng, s)
-	}
-	// The obs spans are the single source of truth for phase timing:
-	// StepReport's nanos are each span's measured duration, and the same
-	// measurement lands in the registry histograms when observability is
-	// enabled.
+	s := o.shardCount()
 	sp := spanRebuild.Start()
 	peers := o.alivePeers()
-	report := StepReport{}
 	o.traceRoundBegin(len(peers))
 	tts := o.traceNow()
+	report := StepReport{Shards: s}
+	o.lastImbalance = 0
 	o.faultPhase(peers, &report)
 	o.rebuild(peers)
 	o.lastRepair.fill(&report)
 	cost := o.exchangeCost(peers)
 	o.totalOverhead += cost
 	report.ExchangeCost = cost
+	report.ShardImbalance = o.lastImbalance
 	report.RebuildNanos = sp.End()
 	o.tracePhase(tracer.PhaseRebuild, tts)
 
 	tts = o.traceNow()
 	sp = spanPhase3.Start()
 	o.executePendingCuts(&report)
-
-	for _, p := range peers {
-		if !o.net.Alive(p) {
-			continue // cut as a side effect earlier in this round
-		}
-		st := o.state[p]
-		if st == nil || len(st.NonFlooding) == 0 {
-			continue
-		}
-		switch o.cfg.Policy {
-		case PolicyRandom:
-			o.phase3Random(rng, p, st, &report)
-		case PolicyNaive:
-			o.phase3Naive(rng, p, st, &report)
-		case PolicyClosest:
-			o.phase3Closest(p, st, &report)
-		}
-	}
+	// One serial draw seeds the whole Phase 3; everything after derives
+	// per-peer streams and merge keys from it by pure hashing.
+	base := rng.Uint64()
+	final := o.proposePhase3(peers, base, s, &report)
+	// MergeNanos is the wall-clock the merge adds after the propose
+	// fan-out: the pipelined pair merges already ran while stragglers
+	// proposed, so this span sees only the residual merge plus the
+	// conflict-partitioned apply.
+	msp := spanShardMerge.Start()
+	o.mergeProposals(final, s, &report)
+	report.MergeNanos = msp.End()
 	report.Phase3Nanos = sp.End()
 	o.tracePhase(tracer.PhasePhase3, tts)
 
@@ -695,6 +663,9 @@ func (o *Optimizer) Round(rng *sim.RNG) StepReport {
 	o.tracePhase(tracer.PhaseRepair, tts)
 	o.totalOverhead += report.ProbeTraffic
 	flushRoundObs(&report)
+	if obs.Enabled() && report.ShardImbalance > 0 {
+		hShardImbalance.Observe(uint64(report.ShardImbalance * 100))
+	}
 	return report
 }
 
@@ -725,9 +696,9 @@ func (o *Optimizer) maintainMinDegree(rng *sim.RNG, alive []overlay.PeerID, repo
 }
 
 // applyCtx routes Phase-3 edge mutations. With tx == nil every call
-// mutates the network directly (the serial engine and the serial merge
-// path). With a StagedTx attached, adjacency still mutates in place but
-// the journal/version/edge bookkeeping is buffered for the parallel
+// mutates the network directly (pending cuts, MinDegree repair and the
+// serial merge path). With a StagedTx attached, adjacency still mutates
+// in place but the journal/version/edge bookkeeping is buffered for the parallel
 // merge's deterministic segment-order commit, and the report points at a
 // segment- or worker-local accumulator instead of the round's. All
 // counters that flow through it are integers, so any fold order yields
@@ -780,15 +751,10 @@ func (o *Optimizer) disconnectCtx(cx *applyCtx, a, b overlay.PeerID) bool {
 	return o.net.Disconnect(a, b)
 }
 
-// safeCut disconnects a—b unless that would strand b (or a) with no
-// neighbors at all: a client that loses its last connection re-joins
-// through its host cache, and peers avoid forcing that. It reports
-// whether the cut happened.
-func (o *Optimizer) safeCut(a, b overlay.PeerID) bool {
-	return o.safeCutCtx(&applyCtx{}, a, b)
-}
-
-// safeCutCtx is safeCut through cx's mutation route.
+// safeCutCtx disconnects a—b through cx's mutation route unless that
+// would strand b (or a) with no neighbors at all: a client that loses its
+// last connection re-joins through its host cache, and peers avoid
+// forcing that. It reports whether the cut happened.
 func (o *Optimizer) safeCutCtx(cx *applyCtx, a, b overlay.PeerID) bool {
 	if !o.net.HasEdge(a, b) {
 		return false
@@ -799,13 +765,8 @@ func (o *Optimizer) safeCutCtx(cx *applyCtx, a, b overlay.PeerID) bool {
 	return o.disconnectCtx(cx, a, b)
 }
 
-// abandonTentative removes the tentative a—h link of an expired or
-// voided Figure-4(c) experiment.
-func (o *Optimizer) abandonTentative(a, h overlay.PeerID, report *StepReport) {
-	o.abandonTentativeCtx(&applyCtx{report: report}, a, h)
-}
-
-// abandonTentativeCtx is abandonTentative through cx's mutation route.
+// abandonTentativeCtx removes, through cx's mutation route, the
+// tentative a—h link of an expired or voided Figure-4(c) experiment.
 func (o *Optimizer) abandonTentativeCtx(cx *applyCtx, a, h overlay.PeerID) {
 	if o.net.Alive(a) && o.net.Alive(h) && o.safeCutCtx(cx, a, h) {
 		cx.report.Abandoned++
@@ -820,6 +781,7 @@ func (o *Optimizer) abandonTentativeCtx(cx *applyCtx, a, h overlay.PeerID) {
 // The dense pending slice scans in ascending proposer order, the same
 // order the old sorted-owner iteration produced.
 func (o *Optimizer) executePendingCuts(report *StepReport) {
+	cx := applyCtx{report: report, trace: o.ring0()}
 	for a := range o.pending {
 		m := o.pending[a]
 		if len(m) == 0 {
@@ -840,21 +802,21 @@ func (o *Optimizer) executePendingCuts(report *StepReport) {
 			case !o.net.Alive(b), !o.net.HasEdge(a, b):
 				// Churn or another rule resolved the triangle some other
 				// way; the tentative link goes too.
-				o.abandonTentative(a, h, report)
+				o.abandonTentativeCtx(&cx, a, h)
 				delete(m, b)
 			case !o.net.Alive(h), !o.net.HasEdge(a, h):
 				delete(m, b) // candidate vanished; nothing tentative left
 			case !o.net.HasEdge(b, h):
 				// The designed resolution: b dropped its link to h, so a
 				// replaces b by h.
-				if o.safeCut(a, b) {
+				if o.safeCutCtx(&cx, a, b) {
 					report.DeferredCuts++
 				}
 				delete(m, b)
 			case pc.ttl <= 1:
 				// b kept its link to h: undo the tentative connection
 				// so extra degree does not accumulate.
-				o.abandonTentative(a, h, report)
+				o.abandonTentativeCtx(&cx, a, h)
 				delete(m, b)
 			default:
 				pc.ttl--
@@ -874,88 +836,9 @@ func (o *Optimizer) atCap(p overlay.PeerID) bool {
 	return o.cfg.MaxDegree > 0 && o.net.Degree(p) >= o.cfg.MaxDegree
 }
 
-// probe prices one Phase-3 delay measurement from a to candidate h; av
-// is a's cost view. It reports the measured cost and whether the probe
-// was answered — a timed-out probe is paid for but yields no reading,
-// so the caller skips the candidate.
-func (o *Optimizer) probe(av overlay.CostView, a, h overlay.PeerID, report *StepReport) (float64, bool) {
-	report.Probes++
-	c := av.To(h)
-	report.ProbeTraffic += o.cfg.ProbeCost * c
-	if inj := o.net.Faults(); inj != nil && inj.ProbeTimeout(int(a), int(h), 0) {
-		report.ProbeTimeouts++
-		traceInstant(o.ring0(), o.tr.round, tracer.KindProbeTimeout, int32(h), int32(a), 0)
-		return c, false
-	}
-	traceInstant(o.ring0(), o.tr.round, tracer.KindProbe, int32(a), int32(h), c)
-	return c, true
-}
-
-// applyFigure4 applies the paper's Figure-4 rules to candidate h drawn
-// from non-flooding neighbor b of peer a; av is a's cost view. It
-// reports whether any connection changed.
-func (o *Optimizer) applyFigure4(av overlay.CostView, a, b, h overlay.PeerID, report *StepReport) bool {
-	ah, ok := o.probe(av, a, h, report)
-	if !ok {
-		return false // probe timed out: no reading to decide on
-	}
-	ab := av.To(b)
-	switch {
-	case ah < ab:
-		// Figure 4(b): closer candidate found — replace b by h, unless
-		// cutting would strand b. No ceiling check here: candidates()
-		// already dropped saturated peers, and a's own degree does not
-		// grow (the replacement moves one connection slot from b to h).
-		if o.net.Degree(b) <= 1 {
-			return false
-		}
-		if !o.tryConnect(a, h, report) {
-			return false
-		}
-		if !o.safeCut(a, b) {
-			o.net.Disconnect(a, h) // undo: replacement impossible
-			return false
-		}
-		o.resolvePending(a, b, report)
-		report.Replacements++
-		return true
-	case ah < o.net.CostsFrom(b).To(h):
-		// Figure 4(c): keep h as a new neighbor; b is expected to demote
-		// and then drop its link to h, after which a cuts a—b. Bounded
-		// per peer so tentative links cannot pile up, and refused when
-		// either end is at its connection ceiling: the tentative extra
-		// degree is exactly what drifts the mean degree upward when its
-		// compensating cut is consumed by other peers' rewiring.
-		if o.atCap(a) || o.atCap(h) {
-			return false
-		}
-		if _, renewing := o.pending[a][b]; !renewing && len(o.pending[a]) >= MaxPending {
-			return false
-		}
-		if !o.tryConnect(a, h, report) {
-			return false
-		}
-		o.resolvePending(a, b, report)
-		if o.pending[a] == nil {
-			o.pending[a] = make(map[overlay.PeerID]pendingCut)
-		}
-		o.pending[a][b] = pendingCut{h: h, ttl: PendingTTL}
-		report.KeptNew++
-		return true
-	default:
-		// Figure 4(d): candidate is worst of the triangle — keep probing.
-		return false
-	}
-}
-
-// resolvePending clears any outstanding experiment a had for b, dropping
-// its tentative link: a new decision about b supersedes it.
-func (o *Optimizer) resolvePending(a, b overlay.PeerID, report *StepReport) {
-	o.resolvePendingCtx(&applyCtx{report: report}, a, b)
-}
-
-// resolvePendingCtx is resolvePending through cx's mutation route. It
-// touches only pending[a] — under the parallel merge, every proposal
+// resolvePendingCtx clears, through cx's mutation route, any outstanding
+// experiment a had for b, dropping its tentative link: a new decision
+// about b supersedes it. It touches only pending[a] — under the parallel merge, every proposal
 // sharing proposer a sits in the same conflict component, so the slot is
 // effectively segment-private.
 func (o *Optimizer) resolvePendingCtx(cx *applyCtx, a, b overlay.PeerID) {
@@ -965,28 +848,17 @@ func (o *Optimizer) resolvePendingCtx(cx *applyCtx, a, b overlay.PeerID) {
 	}
 }
 
-// candidates lists the neighbors of b eligible to replace b for peer a:
-// alive, not a itself, not already connected to a, below the connection
-// ceiling (a saturated peer would refuse the dial, so probing it would
-// waste the attempt), and not dial-blacklisted (a peer that keeps
-// refusing connections is not worth another probe — each skip counts as
-// a blacklist hit). Used by the naive and closest policies,
-// which score multiple candidates per pair; the random policy
-// rejection-samples a single pick instead. Both adjacency lists are
-// sorted, so the already-connected filter is a linear merge against a's
-// list rather than a membership probe per candidate, and b is
-// disproportionately often a hub. The returned slice is a reused scratch
-// buffer, valid until the next candidates call.
-func (o *Optimizer) candidates(a, b overlay.PeerID, report *StepReport) []overlay.PeerID {
-	hits := 0
-	o.candBuf = o.candidatesInto(o.candBuf[:0], a, b, &hits)
-	report.BlacklistHits += hits
-	return o.candBuf
-}
-
-// candidatesInto is the allocation-free core of candidates, appending
-// into the caller's buffer and counting blacklist refusals into hits; the
-// sharded propose pass calls it with per-shard buffers.
+// candidatesInto appends to out the neighbors of b eligible to replace b
+// for peer a: alive, not a itself, not already connected to a, below the
+// connection ceiling (a saturated peer would refuse the dial, so probing
+// it would waste the attempt), and not dial-blacklisted (a peer that
+// keeps refusing connections is not worth another probe — each skip
+// counts into hits). Used by the naive and closest policies, which score
+// multiple candidates per pair; the random policy rejection-samples a
+// single pick instead. Both adjacency lists are sorted, so the
+// already-connected filter is a linear merge against a's list rather than
+// a membership probe per candidate, and b is disproportionately often a
+// hub. The propose pass calls it with per-shard buffers.
 func (o *Optimizer) candidatesInto(out []overlay.PeerID, a, b overlay.PeerID, hits *int) []overlay.PeerID {
 	an := o.net.NeighborsView(a)
 	for _, h := range o.net.NeighborsView(b) {
@@ -1007,119 +879,19 @@ func (o *Optimizer) candidatesInto(out []overlay.PeerID, a, b overlay.PeerID, hi
 	return out
 }
 
-// phase3Random implements the paper's default policy: per optimization
-// step, each non-flooding neighbor is probed with one randomly selected
-// candidate from its neighbor list. The pick is rejection-sampled
-// directly from b's adjacency rather than materializing the filtered
-// candidate list (the dominant cost of a whole round when profiled —
-// O(deg(a)+deg(b)) per pair to then probe a single element): draw a
-// random neighbor of b, retry a few times if the draw is ineligible.
-// Conditioned on success this is the same uniform choice over eligible
-// candidates, and a peer that exhausts its draws simply skips the step,
-// as a real client would after picking only busy or already-known
-// peers from b's list.
-func (o *Optimizer) phase3Random(rng *sim.RNG, a overlay.PeerID, st *PeerState, report *StepReport) {
-	av := o.net.CostsFrom(a)
-	for _, b := range st.NonFlooding {
-		if !o.net.Alive(b) || !o.net.HasEdge(a, b) {
-			continue
-		}
-		nb := o.net.NeighborsView(b)
-		if len(nb) == 0 {
-			continue
-		}
-		for tries := 0; tries < 4; tries++ {
-			h := nb[rng.Intn(len(nb))]
-			if h == a || !o.net.Alive(h) || o.atCap(h) || o.net.HasEdge(a, h) {
-				continue
-			}
-			if o.blacklisted(h) {
-				report.BlacklistHits++
-				continue
-			}
-			o.applyFigure4(av, a, b, h, report)
-			break
-		}
-	}
-}
-
-// phase3Naive implements §6's naive policy: target the most expensive
-// non-flooding neighbor, probe a few random candidates, and replace the
-// target with the cheapest candidate found that improves on it.
-func (o *Optimizer) phase3Naive(rng *sim.RNG, a overlay.PeerID, st *PeerState, report *StepReport) {
-	av := o.net.CostsFrom(a)
-	var worst overlay.PeerID = -1
-	worstCost := -1.0
-	for _, b := range st.NonFlooding {
-		if !o.net.Alive(b) || !o.net.HasEdge(a, b) {
-			continue
-		}
-		if c := av.To(b); c > worstCost {
-			worst, worstCost = b, c
-		}
-	}
-	if worst < 0 {
-		return
-	}
-	cands := o.candidates(a, worst, report)
-	if len(cands) == 0 {
-		return
-	}
-	rng.Shuffle(len(cands), func(i, j int) { cands[i], cands[j] = cands[j], cands[i] })
-	if len(cands) > o.cfg.NaiveProbes {
-		cands = cands[:o.cfg.NaiveProbes]
-	}
-	best, bestCost := overlay.PeerID(-1), worstCost
-	for _, h := range cands {
-		if c, ok := o.probe(av, a, h, report); ok && c < bestCost {
-			best, bestCost = h, c
-		}
-	}
-	if best >= 0 && o.net.Degree(worst) > 1 && o.tryConnect(a, best, report) {
-		if !o.safeCut(a, worst) {
-			o.net.Disconnect(a, best)
-			return
-		}
-		o.resolvePending(a, worst, report)
-		report.Replacements++
-	}
-}
-
-// phase3Closest implements §6's closest policy: probe every candidate of
-// every non-flooding neighbor and apply Figure 4 to the closest one.
-func (o *Optimizer) phase3Closest(a overlay.PeerID, st *PeerState, report *StepReport) {
-	av := o.net.CostsFrom(a)
-	bestB, bestH, bestCost := overlay.PeerID(-1), overlay.PeerID(-1), 0.0
-	for _, b := range st.NonFlooding {
-		if !o.net.Alive(b) || !o.net.HasEdge(a, b) {
-			continue
-		}
-		for _, h := range o.candidates(a, b, report) {
-			c, ok := o.probe(av, a, h, report)
-			if ok && (bestH < 0 || c < bestCost) {
-				bestB, bestH, bestCost = b, h, c
-			}
-		}
-	}
-	if bestH >= 0 {
-		o.applyFigure4WithCost(av, a, bestB, bestH, bestCost, report)
-	}
-}
-
-// applyFigure4WithCost is applyFigure4 for a candidate already probed;
-// av is a's cost view. The triangle's other two costs are static
-// physical delays, so fetching them here is exactly what the propose
-// pass would have read.
-func (o *Optimizer) applyFigure4WithCost(av overlay.CostView, a, b, h overlay.PeerID, ah float64, report *StepReport) {
-	cx := applyCtx{report: report, trace: o.ring0()}
-	o.applyFigure4Decided(&cx, a, b, h, ah, av.To(b), o.net.CostsFrom(b).To(h))
-}
-
 // applyFigure4Decided applies the Figure-4 branch selection to a
 // triangle whose three costs are already known, through cx's mutation
-// route. ab and bh are static physical delays; the merge path carries
-// them inside the proposal (measured at propose time, identical values)
-// so applying a proposal touches no cost view at all.
+// route. ab and bh are static physical delays; the proposal carries
+// them (measured at propose time, identical values), so applying a
+// proposal touches no cost view at all. No ceiling check guards 4(b):
+// candidatesInto and the merge's revalidation already dropped saturated
+// candidates, and a's own degree does not grow (the replacement moves one
+// connection slot from b to h). 4(c) is bounded per peer so tentative
+// links cannot pile up, and refused when either end is at its connection
+// ceiling: the tentative extra degree is exactly what drifts the mean
+// degree upward when its compensating cut is consumed by other peers'
+// rewiring. 4(d) — the candidate is worst of the triangle — changes
+// nothing.
 func (o *Optimizer) applyFigure4Decided(cx *applyCtx, a, b, h overlay.PeerID, ah, ab, bh float64) {
 	switch {
 	case ah < ab:

@@ -333,6 +333,19 @@ func TestBlindFloodingForward(t *testing.T) {
 	sendsEqual(t, got, []Send{{To: 1, Tree: NoTree}, {To: 3, Tree: NoTree}})
 }
 
+// naiveStep runs peer a's naive-policy Phase-3 step alone: its propose
+// pass against the current network under the splitmix64 stream seed,
+// then the merge's apply path over what it proposed.
+func naiveStep(o *Optimizer, a overlay.PeerID, seed uint64, rep *StepReport) {
+	var sh shardState
+	var tl peerTally
+	o.proposeNaive(a, o.State(a), &splitRNG{s: seed}, &sh, &tl)
+	cx := applyCtx{report: rep}
+	for i := range sh.props {
+		o.applyOne(&cx, &sh.props[i])
+	}
+}
+
 func TestNaivePolicyTargetsMostExpensive(t *testing.T) {
 	// Peer 0 at position 0 with neighbors at 1 (cheap, flooding), 50 and
 	// 200 (non-flooding). The naive policy must aim at the 200 one.
@@ -357,7 +370,7 @@ func TestNaivePolicyTargetsMostExpensive(t *testing.T) {
 		t.Fatalf("precondition: nonflooding(0) = %v, want two entries", st.NonFlooding)
 	}
 	var rep StepReport
-	o.phase3Naive(sim.NewRNG(50), 0, st, &rep)
+	naiveStep(o, 0, 50, &rep)
 	// Candidates of worst neighbor 3 are {2? already neighbor, 4}. Cost
 	// 0—4 = 210 > 200: no improvement, keep.
 	if net.HasEdge(0, 3) == false {
@@ -375,7 +388,7 @@ func TestNaivePolicyTargetsMostExpensive(t *testing.T) {
 	o2, _ := NewOptimizer(net2, cfg)
 	o2.RebuildTrees()
 	rep = StepReport{}
-	o2.phase3Naive(sim.NewRNG(51), 0, o2.State(0), &rep)
+	naiveStep(o2, 0, 51, &rep)
 	if rep.Replacements != 1 || net2.HasEdge(0, 3) || !net2.HasEdge(0, 4) {
 		t.Fatalf("naive policy should replace 3 with 4: %+v", rep)
 	}
@@ -411,7 +424,7 @@ func TestPendingExperimentExpires(t *testing.T) {
 	o := newOpt(t, net, 1)
 	o.RebuildTrees()
 	var rep StepReport
-	o.applyFigure4(o.net.CostsFrom(0), 0, 1, 2, &rep)
+	applyTriangle(o, 0, 1, 2, &rep)
 	if rep.KeptNew != 1 || !net.HasEdge(0, 2) {
 		t.Fatalf("precondition: %+v", rep)
 	}
@@ -459,9 +472,10 @@ func TestMaxPendingCapsExperiments(t *testing.T) {
 		t.Skipf("fixture produced only %d non-flooding neighbors", len(st.NonFlooding))
 	}
 	var rep StepReport
+	var hits int
 	for _, b := range st.NonFlooding {
-		for _, h := range o.candidates(0, b, &rep) {
-			o.applyFigure4(o.net.CostsFrom(0), 0, b, h, &rep)
+		for _, h := range o.candidatesInto(nil, 0, b, &hits) {
+			applyTriangle(o, 0, b, h, &rep)
 		}
 	}
 	if got := len(o.pending[0]); got > MaxPending {

@@ -7,7 +7,7 @@ import (
 )
 
 // runRepairDifferential drives two identically seeded systems — one with
-// the incremental MST repair kernel enabled, one with NoRepair pinning
+// the incremental MST repair kernel enabled, one with the noRepair hook pinning
 // every dirty peer to a dense rebuild — through churned rounds and
 // requires bit-identical trajectories: every StepReport (including the
 // float traffic sums), every PeerState (closure order, tree adjacency,
@@ -18,13 +18,12 @@ import (
 // back.
 func runRepairDifferential(t *testing.T, seed int64, shards, rounds int, plan *fault.Plan) int {
 	t.Helper()
-	repCfg := DefaultConfig(1)
-	repCfg.Shards = shards
-	refCfg := repCfg
-	refCfg.NoRepair = true
+	cfg := DefaultConfig(1)
+	cfg.Shards = shards
 
-	rep := newDiffSide(t, seed, repCfg)
-	ref := newDiffSide(t, seed, refCfg)
+	rep := newDiffSide(t, seed, cfg)
+	ref := newDiffSide(t, seed, cfg)
+	ref.opt.noRepair = true
 	if plan != nil {
 		rep.net.SetFaults(newInjector(t, *plan))
 		ref.net.SetFaults(newInjector(t, *plan))
@@ -38,7 +37,7 @@ func runRepairDifferential(t *testing.T, seed int64, shards, rounds int, plan *f
 		rf := ref.opt.Round(ref.round)
 		hits += rr.RepairHits
 		if rf.RepairHits != 0 || rf.AttachOps != 0 || rf.SwapOps != 0 {
-			t.Fatalf("round %d: NoRepair side reported repair activity: %+v", r, rf)
+			t.Fatalf("round %d: noRepair side reported repair activity: %+v", r, rf)
 		}
 		if stripTiming(rr) != stripTiming(rf) {
 			t.Fatalf("round %d: repair and dense rebuild diverged\nrepair: %+v\ndense:  %+v", r, rr, rf)
@@ -51,7 +50,7 @@ func runRepairDifferential(t *testing.T, seed int64, shards, rounds int, plan *f
 
 // TestRepairMatchesDenseRebuild is the repair kernel's differential
 // property test: at shard counts {1, 2, 5, 8}, churned rounds with the
-// repair path enabled must be bit-identical to the NoRepair reference —
+// repair path enabled must be bit-identical to the noRepair reference —
 // per round, per peer, per float. Runs under -race in CI, which also
 // exercises the recycled-slab discipline (a replaced state's backing
 // arrays may only be reused once nothing can read them).
@@ -75,7 +74,7 @@ func TestRepairMatchesDenseRebuild(t *testing.T) {
 // peers perturb closures without journaled events, so membership deltas
 // alone can no longer classify a repair), and dial failures churn the
 // overlay through the blacklist machinery. The trajectories must still
-// match the NoRepair reference bit for bit.
+// match the noRepair reference bit for bit.
 func TestRepairMatchesDenseRebuildUnderFaults(t *testing.T) {
 	const seed = 20260817
 	const rounds = 50
@@ -100,13 +99,12 @@ func TestRepairDepth2MatchesDenseRebuild(t *testing.T) {
 	const seed = 20260818
 	const rounds = 40
 
-	repCfg := DefaultConfig(2)
-	repCfg.Shards = 4
-	refCfg := repCfg
-	refCfg.NoRepair = true
+	cfg := DefaultConfig(2)
+	cfg.Shards = 4
 
-	rep := newDiffSide(t, seed, repCfg)
-	ref := newDiffSide(t, seed, refCfg)
+	rep := newDiffSide(t, seed, cfg)
+	ref := newDiffSide(t, seed, cfg)
+	ref.opt.noRepair = true
 	var hits int
 	for r := 0; r < rounds; r++ {
 		rep.churnStep(2)

@@ -54,7 +54,6 @@ func newBenchSystem(b *testing.B, nPeers, h int, noInc bool) *benchSystem {
 		b.Fatal(err)
 	}
 	cfg := DefaultConfig(h)
-	cfg.NoIncremental = noInc
 	// Client connection ceiling at 4x the generated average degree, the
 	// ace.NewSystem scaling: without it, churned long runs pump degree
 	// into hubs whose quadratic closure rebuilds dominate both engines.
@@ -63,6 +62,7 @@ func newBenchSystem(b *testing.B, nPeers, h int, noInc bool) *benchSystem {
 	if err != nil {
 		b.Fatal(err)
 	}
+	opt.noIncremental = noInc
 	opt.RebuildTrees() // prime: fills the oracle cache and the state map
 	return &benchSystem{net: net, opt: opt, churn: rng.Derive("churn")}
 }
@@ -246,12 +246,12 @@ func BenchmarkRoundChurn(b *testing.B) {
 			benchmarkRounds(b, s, 2, false)
 		})
 	}
-	// Sharded sweep at 10k peers (shards0 is the serial engine on the
-	// same fixture): scripts/bench.sh -shards emits this as the
+	// Shard sweep at 10k peers (shards1 runs inline, with no fan-out
+	// goroutines): scripts/bench.sh -shards emits this as the
 	// speedup-vs-shards curve. On a multi-core host the fan-out phases
 	// scale with the shard count; on one core the curve instead prices
 	// the sharding machinery's overhead.
-	for _, shards := range []int{0, 2, 4, 8} {
+	for _, shards := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("n10000/shards%d", shards), func(b *testing.B) {
 			s := getShardBenchSystem(b, 10000, 10000, shards, 30)
 			benchmarkRounds(b, s, 4, true)

@@ -11,16 +11,16 @@ import (
 	"ace/internal/obs"
 	"ace/internal/obs/tracer"
 	"ace/internal/overlay"
-	"ace/internal/sim"
 )
 
-// This file is the sharded round engine. Peers are partitioned into
-// contiguous PeerID ranges, one per shard, and each phase's per-peer
-// work runs shard-local against a frozen view of the network:
+// This file is the round engine's sharding and Phase-3 machinery. Peers
+// are partitioned into contiguous PeerID ranges, one per shard, and each
+// phase's per-peer work runs shard-local against a frozen view of the
+// network:
 //
 //   - Phase 1 (probe/staleness sweep, fault.go) and the dirty-region
 //     posting scan fan out across shards and re-serialize into the exact
-//     accumulation order of the serial engine — bit-identical results.
+//     accumulation order of a single-shard sweep — bit-identical results.
 //   - Phase 2 (closure + MST builds) partitions the rebuild list by
 //     shard ownership; states are pure functions of the frozen network,
 //     and the serial commit path orders every side effect.
@@ -31,16 +31,14 @@ import (
 //     order keyed by splitmix64(seed, proposer, target). Every decision
 //     is a pure function of (frozen state, round seed, peer id), so the
 //     outcome is identical for every shard count and every goroutine
-//     schedule; determinism tests compare shard counts 2, 5 and 8
+//     schedule; determinism tests compare shard counts 0, 2, 5 and 8
 //     against the single-shard run under -race.
 //
 // The propose/merge split is also the faithful reading of the paper's
 // protocol: real ACE peers run Phase 3 concurrently against the state
 // they observed at the last exchange, and conflicting rewires are
 // resolved by whoever commits first — here, deterministically, by merge
-// key. The serial engine (Config.Shards == 0) instead applies each
-// peer's step immediately, so the two engines produce different (both
-// valid) trajectories; DESIGN.md §5e discusses the divergence.
+// key (DESIGN.md §5e).
 
 // splitmix64 discipline shared with internal/fault: decisions hash
 // (seed, ids) so outcomes depend only on inputs, never on goroutine
@@ -130,7 +128,7 @@ type shardState struct {
 	props   []proposal
 
 	// Probe-sweep accumulators (fault.go). Retry costs are kept one per
-	// retry so the serial fold reproduces the serial engine's float
+	// retry so the serial fold reproduces a single-shard sweep's float
 	// additions exactly.
 	flips      []overlay.PeerID
 	retryCosts []float64
@@ -194,15 +192,18 @@ const (
 	propNaive
 )
 
-// shardCount resolves Config.Shards: 0 selects the serial engine, −1
-// caps the shard count at GOMAXPROCS. Individual fan-outs may run
-// narrower than the cap via fanWidth.
+// shardCount resolves Config.Shards to the round's shard count, at least
+// one: 0 means one shard, −1 caps the count at GOMAXPROCS. Individual
+// fan-outs may run narrower than the cap via fanWidth.
 func (o *Optimizer) shardCount() int {
-	s := o.cfg.Shards
-	if s < 0 {
+	switch s := o.cfg.Shards; {
+	case s < 0:
 		return runtime.GOMAXPROCS(0)
+	case s == 0:
+		return 1
+	default:
+		return s
 	}
-	return s
 }
 
 // minPerShard is the per-shard work floor of the auto heuristic: below
@@ -245,8 +246,8 @@ func (o *Optimizer) ensureShards(s int) []*shardState {
 // c = ceil(N/s), a pure function of the population size — never of
 // liveness or list content — so a peer's owner is stable across rounds.
 // Concatenating the spans in shard order reproduces the input exactly,
-// which is what lets sharded sweeps re-serialize into the serial
-// engine's iteration order.
+// which is what lets sharded sweeps re-serialize into the single-shard
+// iteration order.
 func (o *Optimizer) ownerSpans(list []overlay.PeerID, s int) [][2]int {
 	if cap(o.spanBuf) < s {
 		o.spanBuf = make([][2]int, s)
@@ -270,7 +271,7 @@ func (o *Optimizer) ownerSpans(list []overlay.PeerID, s int) [][2]int {
 // constructs the states of the dirty peers it owns with its private
 // scratch arena, and the shared serial commit path installs them in
 // list order. States are pure functions of the frozen network, so the
-// result is bit-identical to the serial engine's.
+// result is bit-identical to the single-shard worker pool's.
 func (o *Optimizer) buildStatesSharded(list []overlay.PeerID, s int, rc *repairCtx) {
 	states := o.stateSlots(len(list))
 	shards := o.ensureShards(s)
@@ -329,7 +330,7 @@ func (o *Optimizer) buildStatesSharded(list []overlay.PeerID, s int, rc *repairC
 // probeSweepSharded fans the Phase-1 probe/staleness sweep out across
 // shards. Each target is owned by exactly one shard (staleFor/excluded
 // writes stay disjoint) and folding the shard accumulators in shard
-// order reproduces the serial sweep bit for bit (see foldSweep).
+// order reproduces the single-shard sweep bit for bit (see foldSweep).
 func (o *Optimizer) probeSweepSharded(peers []overlay.PeerID, inj *fault.Injector, retries int, ttl int32, s int, report *StepReport) {
 	shards := o.ensureShards(s)
 	spans := o.ownerSpans(peers, s)
@@ -363,7 +364,7 @@ func (o *Optimizer) probeSweepSharded(peers []overlay.PeerID, inj *fault.Injecto
 // endpoints in parallel: endpoints are chunked across shards, each shard
 // marks holders in its private bitset, and the shard sets are OR-merged
 // into dst. Set union is order-free, so the resolved dirty region is
-// identical to the serial scan's for any shard count or schedule.
+// identical to the single-shard scan's for any shard count or schedule.
 func (o *Optimizer) scanPostingsSharded(dst *peerBitset, endpoints []overlay.PeerID, sparse bool, s int) {
 	shards := o.ensureShards(s)
 	n := o.net.N()
@@ -391,57 +392,6 @@ func (o *Optimizer) scanPostingsSharded(dst *peerBitset, endpoints []overlay.Pee
 	for k := 0; k < used; k++ {
 		dst.or(&shards[k].dirty)
 	}
-}
-
-// roundSharded is the sharded engine's Round. The phase structure — and
-// the phase spans, which wrap each fan-out end-to-end so StepReport's
-// nanos stay wall-clock — mirrors the serial engine; only Phase 3's
-// internals differ (propose/merge instead of in-place application).
-func (o *Optimizer) roundSharded(rng *sim.RNG, s int) StepReport {
-	sp := spanRebuild.Start()
-	peers := o.alivePeers()
-	o.traceRoundBegin(len(peers))
-	tts := o.traceNow()
-	report := StepReport{Shards: s}
-	o.lastImbalance = 0
-	o.faultPhase(peers, &report)
-	o.rebuild(peers)
-	o.lastRepair.fill(&report)
-	cost := o.exchangeCost(peers)
-	o.totalOverhead += cost
-	report.ExchangeCost = cost
-	report.ShardImbalance = o.lastImbalance
-	report.RebuildNanos = sp.End()
-	o.tracePhase(tracer.PhaseRebuild, tts)
-
-	tts = o.traceNow()
-	sp = spanPhase3.Start()
-	o.executePendingCuts(&report)
-	// One serial draw seeds the whole sharded Phase 3; everything after
-	// derives per-peer streams and merge keys from it by pure hashing.
-	base := rng.Uint64()
-	final := o.proposePhase3(peers, base, s, &report)
-	// MergeNanos is the wall-clock the merge adds after the propose
-	// fan-out: the pipelined pair merges already ran while stragglers
-	// proposed, so this span sees only the residual merge plus the
-	// conflict-partitioned apply.
-	msp := spanShardMerge.Start()
-	o.mergeProposals(final, s, &report)
-	report.MergeNanos = msp.End()
-	report.Phase3Nanos = sp.End()
-	o.tracePhase(tracer.PhasePhase3, tts)
-
-	tts = o.traceNow()
-	sp = spanRepair.Start()
-	o.maintainMinDegree(rng, peers, &report)
-	report.RepairNanos = sp.End()
-	o.tracePhase(tracer.PhaseRepair, tts)
-	o.totalOverhead += report.ProbeTraffic
-	flushRoundObs(&report)
-	if obs.Enabled() && report.ShardImbalance > 0 {
-		hShardImbalance.Observe(uint64(report.ShardImbalance * 100))
-	}
-	return report
 }
 
 // proposePhase3 runs the parallel propose pass: each live peer selects
@@ -639,9 +589,10 @@ func mergeRuns(dst, x, y []proposal) []proposal {
 }
 
 // probePropose prices one propose-pass delay measurement from a to
-// candidate h — the sharded counterpart of probe(), accumulating into
-// the peer's tally instead of the shared report and tracing onto the
-// shard's own track.
+// candidate h, accumulating into the peer's tally and tracing onto the
+// shard's own track. It reports the measured cost and whether the probe
+// was answered — a timed-out probe is paid for but yields no reading, so
+// the caller skips the candidate.
 func (o *Optimizer) probePropose(av overlay.CostView, a, h overlay.PeerID, t *peerTally, sh *shardState) (float64, bool) {
 	t.probes++
 	c := av.To(h)
@@ -671,11 +622,18 @@ func (o *Optimizer) figure4Costs(av overlay.CostView, b, h overlay.PeerID, ah fl
 	return ab, bh, ah < ab || ah < bh
 }
 
-// proposeRandom is the propose-pass half of phase3Random: the same
-// rejection-sampled candidate pick per non-flooding neighbor, but the
-// Figure-4 decision is deferred to the merge (the probed cost is
-// static, so deciding there is equivalent and sees the freshest
-// adjacency).
+// proposeRandom implements the paper's default policy: per optimization
+// step, each non-flooding neighbor is probed with one randomly selected
+// candidate from its neighbor list. The pick is rejection-sampled
+// directly from b's adjacency rather than materializing the filtered
+// candidate list (O(deg(a)+deg(b)) per pair to then probe a single
+// element): draw a random neighbor of b, retry a few times if the draw
+// is ineligible. Conditioned on success this is the same uniform choice
+// over eligible candidates, and a peer that exhausts its draws simply
+// skips the step, as a real client would after picking only busy or
+// already-known peers from b's list. The Figure-4 decision is deferred
+// to the merge (the probed cost is static, so deciding there is
+// equivalent and sees the freshest adjacency).
 func (o *Optimizer) proposeRandom(a overlay.PeerID, st *PeerState, r *splitRNG, sh *shardState, t *peerTally) {
 	av := o.net.CostsFrom(a)
 	for _, b := range st.NonFlooding {
@@ -708,9 +666,10 @@ func (o *Optimizer) proposeRandom(a overlay.PeerID, st *PeerState, r *splitRNG, 
 	}
 }
 
-// proposeNaive is the propose-pass half of phase3Naive: target the most
-// expensive non-flooding neighbor, probe a few shuffled candidates, and
-// propose the best improvement found.
+// proposeNaive implements §6's naive policy: target the most expensive
+// non-flooding neighbor, probe a few shuffled candidates, and propose
+// replacing the target with the cheapest candidate found that improves
+// on it.
 func (o *Optimizer) proposeNaive(a overlay.PeerID, st *PeerState, r *splitRNG, sh *shardState, t *peerTally) {
 	av := o.net.CostsFrom(a)
 	var worst overlay.PeerID = -1
@@ -752,8 +711,9 @@ func (o *Optimizer) proposeNaive(a overlay.PeerID, st *PeerState, r *splitRNG, s
 	}
 }
 
-// proposeClosest is the propose-pass half of phase3Closest: probe every
-// candidate of every non-flooding neighbor and propose the closest.
+// proposeClosest implements §6's closest policy: probe every candidate of
+// every non-flooding neighbor and propose applying Figure 4 to the
+// closest one.
 func (o *Optimizer) proposeClosest(a overlay.PeerID, st *PeerState, sh *shardState, t *peerTally) {
 	av := o.net.CostsFrom(a)
 	bestB, bestH, bestCost := overlay.PeerID(-1), overlay.PeerID(-1), 0.0
@@ -779,7 +739,7 @@ func (o *Optimizer) proposeClosest(a overlay.PeerID, st *PeerState, sh *shardSta
 	}
 }
 
-// mergeKey orders proposals in the serial merge: a pure splitmix64 hash
+// mergeKey orders proposals in the merge: a pure splitmix64 hash
 // of (round seed, proposer, target), so the application order is fixed
 // by the seed — independent of shard layout and goroutine schedule —
 // yet uncorrelated with peer ids, giving no peer a standing priority
@@ -1043,8 +1003,8 @@ func (o *Optimizer) applySegment(props []proposal, cx *applyCtx) {
 
 // applyOne revalidates one proposal against the live network (an earlier
 // merged proposal may have consumed the edge, saturated the candidate,
-// or blacklisted it) and applies it through the exact mutation paths the
-// serial engine uses. The triangle costs ride in the proposal — float32
+// or blacklisted it) and applies it through cx's mutation route. The
+// triangle costs ride in the proposal — float32
 // round-trips of the oracle's float32 vectors, widened back bit-exactly
 // — so no cost vector is fetched here.
 func (o *Optimizer) applyOne(cx *applyCtx, pr *proposal) {

@@ -24,17 +24,18 @@ func requireSameRound(t *testing.T, r int, a, b *diffSide, la, lb string) {
 	requireSameEdges(t, r, a.net, b.net)
 }
 
-// TestShardedDeterministicAcrossShardCounts is the tentpole's determinism
-// proof: the sharded engine must produce bit-identical trajectories —
+// TestShardedDeterministicAcrossShardCounts is the round engine's
+// determinism proof: it must produce bit-identical trajectories —
 // every StepReport field including the float traffic sums, every
 // PeerState, every overlay edge — at every shard count, regardless of
-// goroutine schedule. Shard counts cover one (the all-serial degenerate
-// layout), powers of two, and a non-power-of-two that leaves uneven
-// owner ranges. Run under -race in CI.
+// goroutine schedule. Shard counts cover zero (the default, which runs
+// one shard inline), powers of two, and a non-power-of-two that leaves
+// uneven owner ranges, each against the single-shard run. Run under
+// -race in CI.
 func TestShardedDeterministicAcrossShardCounts(t *testing.T) {
 	const seed = 20260808
 	const rounds = 60
-	for _, shards := range []int{2, 5, 8} {
+	for _, shards := range []int{0, 2, 5, 8} {
 		t.Run(shardLabel(shards), func(t *testing.T) {
 			oneCfg := DefaultConfig(2)
 			oneCfg.Shards = 1
@@ -63,7 +64,7 @@ func TestShardedDeterministicUnderFaults(t *testing.T) {
 	const seed = 20260809
 	const rounds = 50
 	plan := fault.Plan{ProbeTimeoutRate: 0.15, ConnectFailRate: 0.1, Seed: 99}
-	for _, shards := range []int{2, 5, 8} {
+	for _, shards := range []int{0, 2, 5, 8} {
 		t.Run(shardLabel(shards), func(t *testing.T) {
 			oneCfg := DefaultConfig(2)
 			oneCfg.Shards = 1
@@ -161,28 +162,6 @@ func TestShardedRepeatRunsIdentical(t *testing.T) {
 		}
 		requireSameStates(t, r, a.opt, b.opt, a.net.N())
 		requireSameEdges(t, r, a.net, b.net)
-	}
-}
-
-// TestShardedRebuildMatchesSerial pins that Phases 1–2 of the sharded
-// engine — the closure/tree rebuild, which unlike Phase 3 has no
-// propose/merge restructuring — produce exactly the serial engine's
-// states: same churn, one side Shards=0, one side Shards=8, comparing
-// every PeerState after every RebuildTrees.
-func TestShardedRebuildMatchesSerial(t *testing.T) {
-	const seed = 20260811
-	serialCfg := DefaultConfig(2)
-	shardCfg := DefaultConfig(2)
-	shardCfg.Shards = 8
-
-	serial := newDiffSide(t, seed, serialCfg)
-	sharded := newDiffSide(t, seed, shardCfg)
-	for r := 0; r < 40; r++ {
-		serial.churnStep(3)
-		sharded.churnStep(3)
-		serial.opt.RebuildTrees()
-		sharded.opt.RebuildTrees()
-		requireSameStates(t, r, serial.opt, sharded.opt, serial.net.N())
 	}
 }
 

@@ -88,7 +88,7 @@ func TestRestoreResumeMatchesUninterrupted(t *testing.T) {
 	}
 
 	for _, shards := range []int{0, 1, 8} {
-		t.Run(map[int]string{0: "serial", 1: "shards=1", 8: "shards=8"}[shards], func(t *testing.T) {
+		t.Run(shardLabel(shards), func(t *testing.T) {
 			cfg := DefaultConfig(2)
 			cfg.Shards = shards
 
@@ -196,7 +196,7 @@ func TestRestoreStateRejectsCorruptState(t *testing.T) {
 			st.BlackExp = st.BlackExp[:1]
 			st.BlackUntil = st.BlackUntil[:1]
 		}, "sized 1 for"},
-		{"cursor out of window", func(st *OptState) { st.Cursor = st.Cursor + 1 << 40 }, "journal window"},
+		{"cursor out of window", func(st *OptState) { st.Cursor = st.Cursor + 1<<40 }, "journal window"},
 		{"pending out of range", func(st *OptState) {
 			st.Pending = []PendingEntry{{A: overlay.PeerID(side.net.N()), B: 0, H: 1, TTL: 1}}
 		}, "out of range"},

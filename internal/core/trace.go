@@ -25,8 +25,9 @@ type traceState struct {
 	// events per round) so ring wrap on the chatty shard tracks can
 	// never evict the round skeleton the analyzer rebuilds from.
 	rr *tracer.Ring
-	// rings[k] is shard k's track; ring 0 also receives the serial
-	// engine's per-event fault reactions (probes, connects, purges).
+	// rings[k] is shard k's track; ring 0 also receives the round-scope
+	// per-event fault reactions (crash purges, pending cuts, MinDegree
+	// dials, serially merged connects).
 	rings []*tracer.Ring
 }
 

@@ -14,9 +14,9 @@ import (
 // identically seeded systems run the same churn workload — one with
 // the tracer recording, one with it off — and every StepReport
 // (timing stripped) and every overlay edge must agree bit for bit.
-// The matrix covers the serial and sharded engines, clean and under
-// fault injection, because each combination exercises different
-// instrumentation sites (serial sweep vs shard fan-outs, probe
+// The matrix covers one shard and eight, clean and under fault
+// injection, because each combination exercises different
+// instrumentation sites (inline sweep vs shard fan-outs, probe
 // retries, blacklists, crash purges).
 func TestTraceEnabledDoesNotPerturb(t *testing.T) {
 	const seed = 177

@@ -11,8 +11,8 @@ import (
 // re-encodes canonically — Encode(Decode(x)) must itself decode.
 func FuzzSnapshotDecode(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte("ACESNAP1"))
-	f.Add([]byte("ACESNAP1META\x00\x00\x00\x00\x00\x00\x00\x00"))
+	f.Add([]byte("ACESNAP2"))
+	f.Add([]byte("ACESNAP2META\x00\x00\x00\x00\x00\x00\x00\x00"))
 	for _, seed := range []int64{1, 23} {
 		data, err := Encode(buildSnapshot(f, seed, 4))
 		if err != nil {

@@ -11,7 +11,7 @@
 //
 // File layout:
 //
-//	magic "ACESNAP1"
+//	magic "ACESNAP2"
 //	4 sections, fixed order: META NETS OPTS RNGS
 //	  each: tag(4) payloadLen(u64 LE) payload crc32c(payload)(4)
 //	trailer: tag "TAIL" len(u64 LE) payload crc32c(4)
@@ -34,8 +34,10 @@ import (
 
 // magic identifies the format and its version; a layout change bumps
 // the trailing digit so older readers fail loudly instead of
-// misdecoding.
-const magic = "ACESNAP1"
+// misdecoding. So does a change to the trajectory restored state replays
+// into: resuming such a checkpoint would silently diverge from the run
+// that wrote it (DESIGN.md §8, Versioning).
+const magic = "ACESNAP2"
 
 // Section tags, in the fixed file order.
 const (
@@ -154,8 +156,8 @@ func Encode(s *Snapshot) ([]byte, error) {
 // overlay.RestoreNetwork and core's RestoreState.
 func Decode(data []byte) (*Snapshot, error) {
 	r := &reader{b: data}
-	if string(r.take(len(magic))) != magic {
-		r.fail("bad magic (not an %s checkpoint)", magic)
+	if head := string(r.take(len(magic))); head != magic {
+		r.fail("bad magic %q (this build reads only %s checkpoints)", head, magic)
 	}
 	s := &Snapshot{}
 	readSection(r, tagMeta, func(r *reader) { decodeMeta(r, &s.Meta) })

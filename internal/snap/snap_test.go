@@ -3,6 +3,7 @@ package snap
 import (
 	"bytes"
 	"math"
+	"strings"
 	"testing"
 
 	"ace/internal/core"
@@ -160,6 +161,26 @@ func TestEncodeIsCanonicalAcrossRNGOrder(t *testing.T) {
 	s.RNGs = append(s.RNGs, RNGPos{Name: s.RNGs[0].Name})
 	if _, err := Encode(s); err == nil {
 		t.Fatal("duplicate rng stream accepted")
+	}
+}
+
+// TestDecodeRejectsVersion1 pins the version bump: a checkpoint whose
+// body is intact but whose header says ACESNAP1 — the format written
+// while Shards=0 ran a round engine with another trajectory — must fail
+// with a clean version error instead of decoding (and replaying into a
+// different trajectory) or panicking.
+func TestDecodeRejectsVersion1(t *testing.T) {
+	data, err := Encode(buildSnapshot(t, 3, 6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := append([]byte("ACESNAP1"), data[len("ACESNAP2"):]...)
+	_, err = Decode(old)
+	if err == nil {
+		t.Fatal("ACESNAP1 checkpoint decoded")
+	}
+	if !strings.Contains(err.Error(), `"ACESNAP1"`) {
+		t.Fatalf("ACESNAP1 error does not name the version: %v", err)
 	}
 }
 

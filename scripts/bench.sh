@@ -5,15 +5,15 @@
 #
 # Four modes: the default round mode covers the incremental round engine
 # (BENCH_round.json); -queries covers the per-query flood kernel
-# (BenchmarkEvaluate -> BENCH_query.json); -shards sweeps the sharded
-# round engine across shard counts and scales (BENCH_shards.json);
+# (BenchmarkEvaluate -> BENCH_query.json); -shards sweeps the round
+# engine across shard counts and scales (BENCH_shards.json);
 # -snap covers the checkpoint codec (BENCH_snap.json).
 #
 # Usage: scripts/bench.sh [options] [output.json]
 #   -queries           benchmark the query-flood kernel instead of the
 #                      round engine; output defaults to BENCH_query.json
-#   -shards            sweep the sharded round engine: the 10k-peer
-#                      shards{0,2,4,8} curve plus the 100k-peer sharded
+#   -shards            sweep the round engine: the 10k-peer
+#                      shards{1,2,4,8} curve plus the 100k-peer sharded
 #                      round; output defaults to BENCH_shards.json. The
 #                      1M-peer round stays behind ACE_BENCH_MILLION=1
 #                      (export it to include the measurement)
@@ -110,7 +110,7 @@ elif [ "$MODE" = "snap" ]; then
         -benchmem -benchtime "$BENCHTIME" -count "$COUNT" \
         ${PROFILE_FLAGS[@]+"${PROFILE_FLAGS[@]}"} ./internal/snap/ | tee "$TMP"
 elif [ "$MODE" = "shards" ]; then
-    # The sharded-engine sweep: shard counts at 10k peers, the 100k-peer
+    # The shard sweep: shard counts at 10k peers, the 100k-peer
     # target scale, and — when ACE_BENCH_MILLION=1 is exported — the
     # 1M-peer demonstration round. Note go's -bench treats a top-level |
     # as alternating whole slash-paths, so the subcase alternation must
@@ -142,10 +142,11 @@ fi
 # multi-core ones, so every emitted baseline carries the environment it
 # was measured in instead of relying on a prose footnote.
 NUMCPU="$(getconf _NPROCESSORS_ONLN 2>/dev/null || nproc)"
+CPUMODEL="$( (sed -n 's/^model name[[:space:]]*: //p' /proc/cpuinfo 2>/dev/null || true) | head -n 1)"
 
 {
-    printf '{\n  "benchtime": "%s",\n  "go": "%s",\n  "numcpu": %s,\n  "gomaxprocs": %s,\n  "os": "%s",\n  "arch": "%s",\n  "benchmarks": [\n' \
-        "$BENCHTIME" "$(go env GOVERSION)" "$NUMCPU" "${GOMAXPROCS:-$NUMCPU}" \
+    printf '{\n  "benchtime": "%s",\n  "go": "%s",\n  "cpu": "%s",\n  "numcpu": %s,\n  "gomaxprocs": %s,\n  "os": "%s",\n  "arch": "%s",\n  "benchmarks": [\n' \
+        "$BENCHTIME" "$(go env GOVERSION)" "${CPUMODEL:-unknown}" "$NUMCPU" "${GOMAXPROCS:-$NUMCPU}" \
         "$(go env GOHOSTOS)" "$(go env GOHOSTARCH)"
     awk '
         /^Benchmark/ {
