@@ -2,8 +2,9 @@
 // metric ACE measures in Phase 1: the cost between two peers is the delay
 // of the shortest physical path between their attachment nodes.
 //
-// The oracle runs one Dijkstra per queried source node over the physical
-// graph and caches the resulting distance vector (float32, ~4 bytes per
+// The oracle runs one shortest-path fill (graph.DijkstraDistInto, a
+// bucket-queue Dijkstra) per queried source node over the physical graph
+// and caches the resulting distance vector (float32, ~4 bytes per
 // physical node), optionally bounded. Static experiments query the same
 // few thousand attachment points repeatedly, so the cache converges to
 // one vector per live peer.
@@ -27,9 +28,11 @@ type Oracle struct {
 	g   *graph.Graph
 	cap int // max cached vectors; 0 = unbounded
 
-	mu    sync.RWMutex
-	cache map[int][]float32
-	order []int // insertion order for FIFO eviction
+	mu      sync.RWMutex
+	cache   map[int][]float32
+	order   []int        // insertion order for FIFO eviction
+	filling map[int]bool // sources with a fill in flight
+	filled  *sync.Cond   // on mu; broadcast whenever a fill lands
 
 	// flat mirrors cache as lock-free per-source slots when the cache is
 	// unbounded (no eviction ever invalidates an entry), so the query
@@ -38,7 +41,7 @@ type Oracle struct {
 	flat []atomic.Pointer[[]float32]
 
 	// scratch pools DijkstraScratch instances across concurrent vector
-	// fills: a fill's float64 working distances and heap are reused,
+	// fills: a fill's float64 working distances and buckets are reused,
 	// leaving only the cached float32 vector as a per-source allocation.
 	scratch sync.Pool
 
@@ -56,7 +59,7 @@ type Oracle struct {
 // and tests.
 type Stats struct {
 	Queries   uint64
-	Dijkstras uint64
+	Dijkstras uint64 // distance-vector fills run
 	Evictions uint64
 }
 
@@ -73,11 +76,12 @@ func (s Stats) HitRatio() float64 {
 // the number of cached source vectors (0 means unbounded).
 func NewOracle(g *graph.Graph, cacheCap int) *Oracle {
 	o := &Oracle{
-		g: g, cap: cacheCap, cache: make(map[int][]float32),
+		g: g, cap: cacheCap, cache: make(map[int][]float32), filling: make(map[int]bool),
 		queries:   obs.NewAlwaysCounter("ace.physical.queries"),
 		dijkstras: obs.NewAlwaysCounter("ace.physical.dijkstras"),
 		evictions: obs.NewAlwaysCounter("ace.physical.evictions"),
 	}
+	o.filled = sync.NewCond(&o.mu)
 	if cacheCap == 0 {
 		o.flat = make([]atomic.Pointer[[]float32], g.N())
 	}
@@ -129,8 +133,24 @@ func (o *Oracle) Delay(u, v int) float64 {
 }
 
 // vector returns the cached distance vector for src, computing and
-// inserting it if absent.
+// inserting it if absent. Concurrent misses on one source wait for the
+// single fill in flight instead of each running their own.
 func (o *Oracle) vector(src int) []float32 {
+	o.mu.Lock()
+	for {
+		if vec, ok := o.cache[src]; ok {
+			o.mu.Unlock()
+			return vec
+		}
+		if !o.filling[src] {
+			break
+		}
+		o.filled.Wait()
+	}
+	o.filling[src] = true
+	o.mu.Unlock()
+
+	o.dijkstras.Inc()
 	s, _ := o.scratch.Get().(*graph.DijkstraScratch)
 	if s == nil {
 		s = new(graph.DijkstraScratch)
@@ -141,12 +161,9 @@ func (o *Oracle) vector(src int) []float32 {
 		vec[i] = float32(d)
 	}
 	o.scratch.Put(s)
+
 	o.mu.Lock()
-	defer o.mu.Unlock()
-	if existing, ok := o.cache[src]; ok {
-		return existing // another goroutine raced us; keep theirs
-	}
-	o.dijkstras.Inc()
+	delete(o.filling, src)
 	if o.cap > 0 && len(o.cache) >= o.cap {
 		victim := o.order[0]
 		o.order = o.order[1:]
@@ -158,6 +175,8 @@ func (o *Oracle) vector(src int) []float32 {
 	if o.flat != nil {
 		o.flat[src].Store(&vec)
 	}
+	o.mu.Unlock()
+	o.filled.Broadcast()
 	return vec
 }
 
@@ -181,12 +200,7 @@ func (o *Oracle) Warm(sources []int, workers int) {
 		go func() {
 			defer wg.Done()
 			for src := range work {
-				o.mu.RLock()
-				_, ok := o.cache[src]
-				o.mu.RUnlock()
-				if !ok {
-					o.vector(src)
-				}
+				o.Vector(src)
 			}
 		}()
 	}

@@ -1,9 +1,12 @@
 package physical
 
 import (
+	"fmt"
 	"testing"
 
 	"ace/internal/graph"
+	"ace/internal/sim"
+	"ace/internal/topology"
 )
 
 // benchGraph is a 2048-node ring with chords — cheap to build, nontrivial
@@ -54,5 +57,26 @@ func BenchmarkDelayWarmParallel(b *testing.B) {
 	})
 	if st := o.Stats(); st.Queries == 0 {
 		b.Fatal("stats counters not advancing")
+	}
+}
+
+// BenchmarkVectorFill times one cold per-source distance-vector fill on
+// the default BA substrate, the unit of the oracle's set-up cost (the
+// DelayWarm benchmarks above time only cache hits). The one-vector cache
+// makes every Vector call a miss without retaining n vectors.
+func BenchmarkVectorFill(b *testing.B) {
+	for _, n := range []int{2000, 5000} {
+		b.Run(fmt.Sprintf("ba%d", n), func(b *testing.B) {
+			phys, err := topology.GenerateBA(sim.NewRNG(7), topology.DefaultBASpec(n))
+			if err != nil {
+				b.Fatal(err)
+			}
+			o := NewOracle(phys.Graph, 1)
+			o.Vector(n - 1) // derive the bucket width outside the timed loop
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				o.Vector(i % (n - 1))
+			}
+		})
 	}
 }

@@ -2,6 +2,7 @@ package physical
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -159,6 +160,42 @@ func TestTriangleInequalityProperty(t *testing.T) {
 		ab, bc, ac := o.Delay(a, b), o.Delay(b, c), o.Delay(a, c)
 		if ac > ab+bc+1e-3 {
 			t.Fatalf("triangle inequality violated: d(%d,%d)=%v > %v+%v", a, c, ac, ab, bc)
+		}
+	}
+}
+
+// TestConcurrentMissesFillOnce has goroutines miss overlapping cold
+// sources at once: each source must be filled exactly once, the others
+// waiting for the fill in flight, and every caller must see its vector.
+func TestConcurrentMissesFillOnce(t *testing.T) {
+	phys, err := topology.GenerateBA(sim.NewRNG(25), topology.DefaultBASpec(600))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := NewOracle(phys.Graph, 0)
+	for _, cacheCap := range []int{0, 1000} { // lock-free mirror and locked map
+		o := NewOracle(phys.Graph, cacheCap)
+		const workers, sources = 8, 60
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				<-start
+				for i := 0; i < sources; i++ {
+					src := (i*(w+1) + w) % sources
+					if !slices.Equal(o.Vector(src), ref.Vector(src)) {
+						t.Errorf("cap %d: vector for %d differs from a fresh oracle's", cacheCap, src)
+						return
+					}
+				}
+			}(w)
+		}
+		close(start)
+		wg.Wait()
+		if st := o.Stats(); st.Dijkstras != uint64(o.CacheSize()) || o.CacheSize() != sources {
+			t.Fatalf("cap %d: %d fills for %d cached vectors (want %d each)", cacheCap, st.Dijkstras, o.CacheSize(), sources)
 		}
 	}
 }
