@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -12,18 +13,19 @@ import (
 // that reach peers earlier trees did not already cover, so the structure
 // may describe a subtree of the owner's full tree.
 //
-// The adjacency is stored in CSR form — a member list, prefix offsets,
-// and one concatenated, per-bucket-sorted neighbor array — built once at
-// prune time, plus a position mirror of the neighbor array so traversals
-// never translate ids back to positions. Messages share one *TreeAdj
-// per launch instead of copying the header around, and the source's
-// unpruned launch reuses the PeerState slabs directly without copying
-// anything.
+// Every TreeAdj is a view over its owner's PeerState CSR slabs — a
+// member list in closure order, prefix offsets, one concatenated,
+// per-bucket-sorted neighbor array and its position mirror — so
+// traversals never translate ids back to positions and nothing is
+// copied. A pruned launch adds a keep bitmask over closure positions;
+// unkept positions are simply skipped by every traversal, which leaves
+// the kept members' buckets in the same ascending order a copied
+// subtree would have. Messages share one *TreeAdj per launch.
 type TreeAdj struct {
-	// nodes lists the member ids. When byID is nil the list is sorted
-	// ascending; otherwise byID holds the positions ordered by id (the
-	// PeerState view, whose members stay in BFS order).
+	// nodes lists the member ids in closure order; byID holds the
+	// positions ordered by id.
 	nodes []overlay.PeerID
+	byID  []int32
 	// off[i]:off[i+1] brackets nodes[i]'s neighbors within adj.
 	off []int32
 	// adj is the concatenated neighbor lists, each sorted ascending.
@@ -36,34 +38,31 @@ type TreeAdj struct {
 	// PeerState.treeCost). nil when build-time values may not match
 	// query-time resolution (the sparse ablation).
 	cost []float32
-	byID []int32
+	// keep, when non-nil, restricts the view to the positions whose bit
+	// is set (bit i of keep[i/64]); kept counts them. nil keeps every
+	// member.
+	keep []uint64
+	kept int
 }
 
 // Len reports the number of tree members.
 func (t *TreeAdj) Len() int {
-	if t == nil {
+	switch {
+	case t == nil:
 		return 0
+	case t.keep != nil:
+		return t.kept
 	}
 	return len(t.nodes)
 }
 
-// Members returns the member ids (view; do not modify). Order is
-// unspecified.
-func (t *TreeAdj) Members() []overlay.PeerID {
-	if t == nil {
-		return nil
-	}
-	return t.nodes
+// has reports whether position i is part of the view.
+func (t *TreeAdj) has(i int32) bool {
+	return t.keep == nil || t.keep[i>>6]&(1<<(i&63)) != 0
 }
 
 // pos returns u's position in nodes, or -1 when u is not a member.
 func (t *TreeAdj) pos(u overlay.PeerID) int {
-	if t.byID == nil {
-		if i, ok := slices.BinarySearch(t.nodes, u); ok {
-			return i
-		}
-		return -1
-	}
 	lo, hi := 0, len(t.byID)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -73,7 +72,7 @@ func (t *TreeAdj) pos(u overlay.PeerID) int {
 			hi = mid
 		}
 	}
-	if lo < len(t.byID) && t.nodes[t.byID[lo]] == u {
+	if lo < len(t.byID) && t.nodes[t.byID[lo]] == u && t.has(t.byID[lo]) {
 		return int(t.byID[lo])
 	}
 	return -1
@@ -84,17 +83,24 @@ func (t *TreeAdj) Contains(u overlay.PeerID) bool {
 	return t != nil && len(t.nodes) > 0 && t.pos(u) >= 0
 }
 
-// Neighbors returns u's tree neighbors, sorted ascending, or nil when u
-// is not a member. The slice is a view and must not be modified.
-func (t *TreeAdj) Neighbors(u overlay.PeerID) []overlay.PeerID {
-	if t == nil {
-		return nil
+// DetachLaunch returns copies of a launch's view and of the covered
+// chain node that adds it, sharing nothing with the launcher's PeerState.
+// Tree views alias the state's slabs, which a sharded rebuild may hand
+// to another state, so messages that can outlive a rebuild — the
+// message-level engine's — carry detached copies. The chain below cs is
+// returned as is: it holds the views of earlier launches, detached when
+// those launched.
+func DetachLaunch(adj *TreeAdj, cs *CoveredSet) (*TreeAdj, *CoveredSet) {
+	d := &TreeAdj{
+		nodes: slices.Clone(adj.nodes), byID: slices.Clone(adj.byID),
+		off: slices.Clone(adj.off), adj: slices.Clone(adj.adj), adjPos: slices.Clone(adj.adjPos),
+		cost: slices.Clone(adj.cost), keep: slices.Clone(adj.keep), kept: adj.kept,
 	}
-	i := t.pos(u)
-	if i < 0 {
-		return nil
+	var parent *CoveredSet
+	if cs != nil {
+		parent = cs.parent
 	}
-	return t.adj[t.off[i]:t.off[i+1]]
+	return d, parent.extend(d)
 }
 
 // CoveredSet is the accumulated set of peers covered by the chain of
@@ -164,7 +170,7 @@ func (s *epochSet) has(p overlay.PeerID) bool { return s.mark[p] == s.epoch }
 // being re-walked per membership probe. A scratch may be reused across
 // queries and forwarders; it must not be shared by concurrent callers.
 type FloodScratch struct {
-	seen epochSet // splice BFS dedup / pruneTree keep set
+	seen epochSet // splice BFS dedup
 
 	// cover is the epoch-tagged bitset of lastCover's chain members;
 	// consecutive Forward calls carrying the same chain (the common case
@@ -175,9 +181,6 @@ type FloodScratch struct {
 	rivals    []overlay.PeerID
 	queuePos  []int32
 	targetPos []int32
-	posList   []int32
-	posInKept []int32
-	keptKeys  []uint64
 
 	// Election cost views, fetched lazily per pruneLaunch: slot 0 is the
 	// launcher, slot i+1 is rivals[i]. Indexing the cached distance
@@ -187,90 +190,44 @@ type FloodScratch struct {
 	viewOK []bool
 
 	// arena, when armed by BeginQuery, serves the launch-lifetime
-	// allocations (pruned CSR slabs and headers, covered-chain nodes)
-	// from reusable bump chunks. Only callers with a clear query
+	// allocations (keep masks, view headers, covered-chain nodes) from
+	// chunks recycled across queries. Only callers with a clear query
 	// boundary — the flood kernels — arm it; everyone else gets plain
 	// allocations.
 	arena *floodArena
 }
 
 // floodArena bump-allocates the objects a launch hands to its messages.
-// A chunk is recycled only by reset; when one fills up, a fresh chunk
-// replaces it and the old one stays alive through the slices already
-// handed out, so outstanding references are never overwritten.
 type floodArena struct {
-	ids      []overlay.PeerID
-	idsOff   int
-	offs     []int32
-	offsOff  int
-	costs    []float32
-	costOff  int
-	chains   []CoveredSet
-	chainOff int
-	hdrs     []TreeAdj
-	hdrOff   int
+	masks  slabPool[uint64]
+	hdrs   slabPool[TreeAdj]
+	chains slabPool[CoveredSet]
 }
 
-func (a *floodArena) allocIDs(n int) []overlay.PeerID {
-	if a.idsOff+n > len(a.ids) {
-		sz := 4096
-		if n > sz/2 {
-			sz = 2 * n
+// slabPool hands out slices of a list of chunks. rewind makes every
+// chunk reusable at once, so a pool that has grown to a query's working
+// set allocates nothing for later queries; within a query, slices
+// already handed out are never reused.
+type slabPool[T any] struct {
+	chunks   [][]T
+	cur, off int
+}
+
+func (p *slabPool[T]) rewind() { p.cur, p.off = 0, 0 }
+
+// alloc returns n elements, which hold whatever the chunk last held;
+// new chunks have room for at least chunk elements.
+func (p *slabPool[T]) alloc(n, chunk int) []T {
+	for ; p.cur < len(p.chunks); p.cur, p.off = p.cur+1, 0 {
+		if c := p.chunks[p.cur]; p.off+n <= len(c) {
+			s := c[p.off : p.off+n : p.off+n]
+			p.off += n
+			return s
 		}
-		a.ids = make([]overlay.PeerID, sz)
-		a.idsOff = 0
 	}
-	s := a.ids[a.idsOff : a.idsOff+n : a.idsOff+n]
-	a.idsOff += n
-	return s
-}
-
-func (a *floodArena) allocOffs(n int) []int32 {
-	if a.offsOff+n > len(a.offs) {
-		sz := 4096
-		if n > sz/2 {
-			sz = 2 * n
-		}
-		a.offs = make([]int32, sz)
-		a.offsOff = 0
-	}
-	s := a.offs[a.offsOff : a.offsOff+n : a.offsOff+n]
-	a.offsOff += n
-	return s
-}
-
-func (a *floodArena) allocCosts(n int) []float32 {
-	if a.costOff+n > len(a.costs) {
-		sz := 4096
-		if n > sz/2 {
-			sz = 2 * n
-		}
-		a.costs = make([]float32, sz)
-		a.costOff = 0
-	}
-	s := a.costs[a.costOff : a.costOff+n : a.costOff+n]
-	a.costOff += n
-	return s
-}
-
-func (a *floodArena) allocChain() *CoveredSet {
-	if a.chainOff == len(a.chains) {
-		a.chains = make([]CoveredSet, 256)
-		a.chainOff = 0
-	}
-	c := &a.chains[a.chainOff]
-	a.chainOff++
-	return c
-}
-
-func (a *floodArena) allocHdr() *TreeAdj {
-	if a.hdrOff == len(a.hdrs) {
-		a.hdrs = make([]TreeAdj, 256)
-		a.hdrOff = 0
-	}
-	h := &a.hdrs[a.hdrOff]
-	a.hdrOff++
-	return h
+	p.chunks = append(p.chunks, make([]T, max(chunk, n)))
+	p.off = n
+	return p.chunks[p.cur][:n:n]
 }
 
 // BeginQuery arms (or resets) the scratch's launch arena and drops the
@@ -284,8 +241,9 @@ func (sc *FloodScratch) BeginQuery() {
 	if sc.arena == nil {
 		sc.arena = &floodArena{}
 	}
-	sc.arena.idsOff, sc.arena.offsOff, sc.arena.costOff = 0, 0, 0
-	sc.arena.chainOff, sc.arena.hdrOff = 0, 0
+	sc.arena.masks.rewind()
+	sc.arena.hdrs.rewind()
+	sc.arena.chains.rewind()
 	sc.lastCover = nil
 }
 
@@ -298,7 +256,7 @@ func (sc *FloodScratch) extendCover(c *CoveredSet, adj *TreeAdj) *CoveredSet {
 	if sc.arena == nil {
 		return c.extend(adj)
 	}
-	cc := sc.arena.allocChain()
+	cc := &sc.arena.chains.alloc(1, 256)[0]
 	*cc = CoveredSet{parent: c, adj: adj}
 	return cc
 }
@@ -310,11 +268,19 @@ func (sc *FloodScratch) materializeCover(c *CoveredSet, n int) {
 	}
 	sc.cover.begin(n)
 	for cc := c; cc != nil; cc = cc.parent {
-		if cc.adj == nil {
-			continue
-		}
-		for _, m := range cc.adj.nodes {
-			sc.cover.add(m)
+		a := cc.adj
+		switch {
+		case a == nil:
+		case a.keep == nil:
+			for _, m := range a.nodes {
+				sc.cover.add(m)
+			}
+		default:
+			for w, word := range a.keep {
+				for ; word != 0; word &= word - 1 {
+					sc.cover.add(a.nodes[w<<6|bits.TrailingZeros64(word)])
+				}
+			}
 		}
 	}
 	sc.lastCover = c
@@ -458,21 +424,23 @@ func (t TreeForwarding) ForwardInto(sc *FloodScratch, out []Send, src, p, from, 
 	if first {
 		// A launch is a fresh multicast: it may legitimately flow back
 		// through the sender, which has not seen this tag and may be
-		// the only path to an uncovered branch.
-		if pruned, rootPos, cs := t.pruneLaunch(sc, own, p, covered); pruned != nil {
-			out = appendTreeSends(sc, net, out, pruned, rootPos, p, cs, from, false)
+		// the only path to an uncovered branch. The launcher sits at
+		// position 0 of its own closure.
+		if pruned, cs := t.pruneLaunch(sc, own, p, covered); pruned != nil {
+			out = appendTreeSends(sc, net, out, pruned, 0, p, cs, from, false)
 		}
 	}
 	return out
 }
 
 // appendTreeSends walks adj outward from position pPos, appending one
-// Send per live target. A target may receive two tags from the same
-// relay when it sits on both trees; dropping either would orphan that
-// tree's subtree. Targets that left since the last exchange are spliced
-// around: the relay holds the full tree, so it forwards directly to the
-// dead member's tree children instead. The whole walk runs in tree
-// positions through the adjacency's position mirror.
+// Send per live target; positions outside a pruned view are skipped. A
+// target may receive two tags from the same relay when it sits on both
+// trees; dropping either would orphan that tree's subtree. Targets that
+// left since the last exchange are spliced around: the relay holds the
+// full tree, so it forwards directly to the dead member's tree children
+// instead. The whole walk runs in tree positions through the
+// adjacency's position mirror.
 func appendTreeSends(sc *FloodScratch, net *overlay.Network, out []Send, adj *TreeAdj, pPos int32, tree overlay.PeerID, cs *CoveredSet, from overlay.PeerID, excludeFrom bool) []Send {
 	if adj == nil || pPos < 0 {
 		return out
@@ -487,7 +455,7 @@ func appendTreeSends(sc *FloodScratch, net *overlay.Network, out []Send, adj *Tr
 	base := len(out)
 	live := true
 	for i, q := range ids {
-		if excludeFrom && q == from {
+		if excludeFrom && q == from || !adj.has(poss[i]) {
 			continue
 		}
 		if !net.Alive(q) {
@@ -504,12 +472,12 @@ func appendTreeSends(sc *FloodScratch, net *overlay.Network, out []Send, adj *Tr
 	if live {
 		return out
 	}
-	sc.seen.begin(adj.Len())
+	sc.seen.begin(len(adj.nodes))
 	sc.seen.add(overlay.PeerID(pPos))
 	queue := append(sc.queuePos[:0], adj.adjPos[adj.off[pPos]:adj.off[pPos+1]]...)
 	for i := 0; i < len(queue); i++ {
 		qp := queue[i]
-		if sc.seen.has(overlay.PeerID(qp)) {
+		if sc.seen.has(overlay.PeerID(qp)) || !adj.has(qp) {
 			continue
 		}
 		sc.seen.add(overlay.PeerID(qp))
@@ -530,21 +498,36 @@ func appendTreeSends(sc *FloodScratch, net *overlay.Network, out []Send, adj *Tr
 }
 
 // pruneLaunch cuts p's own tree down to the branches that reach peers
-// the chain has not covered, applying the neighbor guarantee and the
-// closest-covered-peer election, and returns the pruned adjacency, the
-// launcher's position within it, and the extended covered set (nil
-// adjacency when the launch would add nothing). An originating peer
-// (empty chain) floods its whole tree, which reuses the PeerState CSR
-// slabs without copying.
-func (t TreeForwarding) pruneLaunch(sc *FloodScratch, st *PeerState, p overlay.PeerID, covered *CoveredSet) (*TreeAdj, int32, *CoveredSet) {
-	net := t.Opt.Network()
+// the chain has not covered and returns the pruned adjacency and the
+// extended covered set (nil adjacency when the launch would add
+// nothing). An originating peer (empty chain), or a launch that keeps
+// every member, floods its whole tree view; any other launch is that
+// view plus a keep mask.
+func (t TreeForwarding) pruneLaunch(sc *FloodScratch, st *PeerState, p overlay.PeerID, covered *CoveredSet) (*TreeAdj, *CoveredSet) {
+	full := st.FullTree()
 	if covered.Empty() {
-		full := st.FullTree()
-		return full, 0, sc.extendCover(covered, full)
+		return full, sc.extendCover(covered, full)
 	}
+	targets := t.launchTargets(sc, st, p, covered)
+	switch len(targets) {
+	case 0:
+		return nil, nil
+	case len(st.Closure) - 1:
+		// Every non-root member survived: the launch is the whole tree.
+		return full, sc.extendCover(covered, full)
+	}
+	pruned := sc.allocView()
+	*pruned = *full
+	pruned.keep, pruned.kept = sc.keepMask(st, targets)
+	return pruned, sc.extendCover(covered, pruned)
+}
 
-	n := net.N()
-	sc.materializeCover(covered, n)
+// launchTargets returns the closure positions of the uncovered members
+// p's launch must reach, applying the neighbor guarantee and the
+// closest-covered-peer election. The slice is sc's scratch.
+func (t TreeForwarding) launchTargets(sc *FloodScratch, st *PeerState, p overlay.PeerID, covered *CoveredSet) []int32 {
+	net := t.Opt.Network()
+	sc.materializeCover(covered, net.N())
 	nbrs := net.NeighborsView(p)
 
 	// The rival claimants (covered members of p's closure) and their
@@ -556,7 +539,7 @@ func (t TreeForwarding) pruneLaunch(sc *FloodScratch, st *PeerState, p overlay.P
 	var viewOK []bool
 	haveRivals := false
 
-	// Targets are collected as closure POSITIONS — pruneTree runs
+	// Targets are collected as closure POSITIONS — keepMask runs
 	// entirely in position space.
 	targets := sc.targetPos[:0]
 	noElection := t.Opt.Config().NoLaunchElection
@@ -611,131 +594,40 @@ func (t TreeForwarding) pruneLaunch(sc *FloodScratch, st *PeerState, p overlay.P
 		}
 	}
 	sc.targetPos = targets
-	if len(targets) == 0 {
-		return nil, -1, nil
-	}
-	if len(targets) == len(st.Closure)-1 {
-		// Every non-root member survived: the "pruned" tree is the whole
-		// tree, so reuse the state's CSR view instead of copying it. (Its
-		// member order differs from a built copy's, but positions are
-		// internal to one adjacency — the emitted sends are identical.)
-		full := st.FullTree()
-		return full, 0, sc.extendCover(covered, full)
-	}
-
-	pruned, rootPos := pruneTree(sc, st, targets)
-	return pruned, rootPos, sc.extendCover(covered, pruned)
+	return targets
 }
 
-// pruneTree keeps the branches of st's tree (rooted at its owner,
+// allocView returns a view header, from the arena when armed.
+func (sc *FloodScratch) allocView() *TreeAdj {
+	if sc.arena == nil {
+		return &TreeAdj{}
+	}
+	return &sc.arena.hdrs.alloc(1, 256)[0]
+}
+
+// keepMask marks the branches of st's tree (rooted at its owner,
 // closure position 0) that reach at least one of the target positions,
-// returning the kept subtree as a fresh CSR adjacency plus the root's
-// position within it. The keep set is the union of the target→root
-// parent walks — each walk stops at the first already-kept ancestor, so
-// marking costs O(kept) total instead of a full-tree DFS. Assembly runs
-// in closure positions over the state's CSR and its position mirror —
-// no id lookups anywhere.
-func pruneTree(sc *FloodScratch, st *PeerState, targets []int32) (*TreeAdj, int32) {
-	s := len(st.Closure)
-	keep := &sc.seen // position-keyed for the duration of this call
-	keep.begin(s)
-	keep.add(0)
-	kept := append(sc.posList[:0], 0)
-	for _, pi := range targets {
-		for w := pi; !keep.has(overlay.PeerID(w)); w = st.parentPos[w] {
-			keep.add(overlay.PeerID(w))
-			kept = append(kept, w)
-		}
-	}
-
-	// The walks collect the kept set unordered; an insertion sort by id
-	// restores the ascending-member order the CSR format promises. Each
-	// (id, position) pair is packed into one uint64 with the id in the
-	// high half, so the sort compares and moves single words instead of
-	// chasing st.Closure on every probe.
-	if cap(sc.keptKeys) < len(kept) {
-		sc.keptKeys = make([]uint64, len(kept))
-	}
-	keys := sc.keptKeys[:len(kept)]
-	for i, v := range kept {
-		keys[i] = uint64(uint32(st.Closure[v]))<<32 | uint64(uint32(v))
-	}
-	for i := 1; i < len(keys); i++ {
-		kv := keys[i]
-		j := i - 1
-		for j >= 0 && keys[j] > kv {
-			keys[j+1] = keys[j]
-			j--
-		}
-		keys[j+1] = kv
-	}
-	for i, kv := range keys {
-		kept[i] = int32(uint32(kv))
-	}
-	sc.posList = kept
-	k := len(kept)
-	// The kept set is a union of root paths, hence a connected subtree:
-	// its induced adjacency is exactly the k-1 tree edges, both ways.
-	total := 2 * (k - 1)
-
-	// Inverse map: closure position → pruned position, valid only for
-	// kept entries (all of which were just written).
-	if cap(sc.posInKept) < s {
-		sc.posInKept = make([]int32, s)
-	}
-	posInKept := sc.posInKept[:s]
-	rootPos := int32(0)
-	for i, pi := range kept {
-		posInKept[pi] = int32(i)
-		if pi == 0 {
-			rootPos = int32(i)
-		}
-	}
-
-	// nodes and adj share one id slab; off and adjPos share one int32
-	// slab; the header is its own small object. All outlive the scratch
-	// — messages carry them until the flood drains — so they come from
-	// the arena when one is armed.
-	var slab []overlay.PeerID
-	var ints []int32
-	var cost []float32
-	var hdr *TreeAdj
+// returning the mask over closure positions and the number of kept
+// members. The keep set is the union of the target→root parent walks —
+// each walk stops at the first already-kept ancestor, so marking costs
+// O(kept) total instead of a full-tree DFS — and, being a union of root
+// paths, a connected subtree.
+func (sc *FloodScratch) keepMask(st *PeerState, targets []int32) ([]uint64, int) {
+	words := (len(st.Closure) + 63) >> 6
+	var keep []uint64
 	if sc.arena != nil {
-		slab = sc.arena.allocIDs(k + total)
-		ints = sc.arena.allocOffs(k + 1 + total)
-		hdr = sc.arena.allocHdr()
-		if st.treeCost != nil {
-			cost = sc.arena.allocCosts(total)
-		}
+		keep = sc.arena.masks.alloc(words, 4096)
+		clear(keep)
 	} else {
-		slab = make([]overlay.PeerID, k+total)
-		ints = make([]int32, k+1+total)
-		hdr = &TreeAdj{}
-		if st.treeCost != nil {
-			cost = make([]float32, total)
+		keep = make([]uint64, words)
+	}
+	keep[0] = 1
+	kept := 1
+	for _, pi := range targets {
+		for w := pi; keep[w>>6]&(1<<(w&63)) == 0; w = st.parentPos[w] {
+			keep[w>>6] |= 1 << (w & 63)
+			kept++
 		}
 	}
-	nodes := slab[:k:k]
-	adj := slab[k:]
-	off := ints[: k+1 : k+1]
-	adjPos := ints[k+1:]
-	w := 0
-	for i, pi := range kept {
-		nodes[i] = st.Closure[pi]
-		off[i] = int32(w)
-		b := st.treeOff[pi]
-		for j, c := range st.treeAdjPos[b:st.treeOff[pi+1]] {
-			if keep.has(overlay.PeerID(c)) {
-				adj[w] = st.treeAdj[b+int32(j)]
-				adjPos[w] = posInKept[c]
-				if cost != nil {
-					cost[w] = st.treeCost[b+int32(j)]
-				}
-				w++
-			}
-		}
-	}
-	off[k] = int32(w)
-	*hdr = TreeAdj{nodes: nodes, off: off, adj: adj, adjPos: adjPos, cost: cost}
-	return hdr, rootPos
+	return keep, kept
 }

@@ -142,7 +142,7 @@ func (e *Engine) maxQueries() int {
 // engine-owned scratch when the forwarder supports it, so per-hop set
 // bookkeeping stops allocating. No arena is armed: engine queries
 // interleave on the virtual clock, so there is no drain boundary at
-// which slab memory could be reclaimed — pruned adjacencies stay
+// which arena memory could be reclaimed — launch views stay
 // individually heap-allocated and live as long as messages hold them.
 // The returned slice is reused by the next call; emit copies each Send
 // into its scheduled closure before then.
@@ -155,11 +155,23 @@ func (e *Engine) forwardOf(src, p, from, serving overlay.PeerID, adj *core.TreeA
 }
 
 // emit sends a forward batch, enforcing the per-(peer, tree)
-// continuation dedup.
+// continuation dedup. The sender's own launch (the sends tagged with its
+// id) carries a view over its PeerState, which a rebuild between
+// deliveries may recycle, so the messages get one detached copy per
+// batch.
 func (e *Engine) emit(qs *QueryStats, from overlay.PeerID, sends []core.Send, ttl int, responder func(overlay.PeerID, int) bool) {
+	var launch, adj *core.TreeAdj
+	var covered *core.CoveredSet
 	for _, s := range sends {
 		if s.Tree != core.NoTree && qs.served[treeKey(from, s.Tree)] {
 			continue
+		}
+		if s.Tree == from {
+			if s.Adj != launch {
+				launch = s.Adj
+				adj, covered = core.DetachLaunch(s.Adj, s.Covered)
+			}
+			s.Adj, s.Covered = adj, covered
 		}
 		e.sendQuery(qs, from, s, ttl, responder)
 	}

@@ -74,12 +74,12 @@ func EvaluateTrace(net *overlay.Network, fwd core.Forwarder, src overlay.PeerID,
 }
 
 // evaluate runs the flood on a pooled Kernel: all per-query state lives
-// on epoch-stamped dense arrays, the event queue is a non-boxing typed
-// heap, and forwarding goes through the allocation-free scratch path
-// when the forwarder supports it. The (at, seq) total order makes the
-// pop sequence unique regardless of heap implementation, so results are
-// bit-identical to the map-based reference evaluator (the differential
-// test pins this).
+// on epoch-stamped dense arrays, the event queue is a radix queue with
+// inline message bodies, and forwarding goes through the allocation-free
+// scratch path when the forwarder supports it. The queue pops in the
+// (at, seq) total order, which makes the pop sequence unique regardless
+// of queue implementation, so results are bit-identical to the map-based
+// reference evaluator (the differential test pins this).
 func evaluate(net *overlay.Network, fwd core.Forwarder, src overlay.PeerID, ttl int, responders map[overlay.PeerID]bool, trace bool) (QueryResult, []Hop) {
 	if !net.Alive(src) {
 		return QueryResult{FirstResponse: math.Inf(1)}, nil
@@ -99,12 +99,11 @@ func evaluate(net *overlay.Network, fwd core.Forwarder, src overlay.PeerID, ttl 
 		k.Emit(0, src, k.ForwardOf(src, src, -1, core.NoTree, nil, -1, nil, true), ttl-1)
 	}
 	// The delivery loop works on the kernel's internals directly — the
-	// popped key indexes the payload array and the launch table resolves
+	// popped event carries its body inline and the launch table resolves
 	// lazily — instead of materializing a Flight per message as the
 	// exported Next does for external drivers.
-	for k.queueLen() > 0 {
-		key := k.popFlight()
-		m := k.pay[key.seq]
+	for k.queue.len() > 0 {
+		at, m := k.queue.pop()
 		to := overlay.PeerID(m.to)
 		if k.DeadLetter(to) {
 			continue // crash debris: the target died, the copy is lost
@@ -113,7 +112,7 @@ func evaluate(net *overlay.Network, fwd core.Forwarder, src overlay.PeerID, ttl 
 		if !firstCopy {
 			k.Duplicate()
 		} else {
-			k.Arrive(to, overlay.PeerID(m.from), key.at)
+			k.Arrive(to, overlay.PeerID(m.from), at)
 			if k.IsResponder(to) {
 				// A QueryHit returns along the inverse query path (the
 				// Gnutella response rule): arrival plus the memoized
@@ -140,7 +139,7 @@ func evaluate(net *overlay.Network, fwd core.Forwarder, src overlay.PeerID, ttl 
 			// be dropped by Emit's dedup — so skip the forwarder.
 			continue
 		}
-		k.Emit(key.at, to, k.ForwardOf(src, to, overlay.PeerID(m.from), serving, adj, m.toPos, covered, firstCopy), int(m.ttl)-1)
+		k.Emit(at, to, k.ForwardOf(src, to, overlay.PeerID(m.from), serving, adj, m.toPos, covered, firstCopy), int(m.ttl)-1)
 	}
 
 	k.ObserveFlood()

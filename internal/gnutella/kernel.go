@@ -2,6 +2,7 @@ package gnutella
 
 import (
 	"math"
+	"math/bits"
 	"sync"
 	"time"
 
@@ -13,9 +14,11 @@ import (
 
 // Kernel is the flat query-flood engine: one reusable arena holding every
 // piece of per-query state on epoch-stamped dense arrays indexed by peer,
-// a non-boxing typed event heap, and the forwarding scratch. Acquiring a
-// kernel once and flooding many queries through it performs O(1) heap
-// allocations per query beyond the launch adjacencies the messages carry.
+// a radix event queue with inline message bodies, and the forwarding
+// scratch, whose launch arena recycles its chunks across queries.
+// Acquiring a kernel once and flooding many queries through it performs
+// O(1) heap allocations per query once its buffers have grown to the
+// flood's size.
 //
 // A kernel is single-threaded; parallel evaluators use one kernel per
 // worker (see AcquireKernel). The exported surface doubles as the
@@ -48,23 +51,11 @@ type Kernel struct {
 	// responder check is one array load instead of a map probe.
 	respMark []uint32
 
-	// The event queue: a specialized 4-ary min-heap over (at, seq) with
-	// the comparison inlined — no container/heap boxing, no generic
-	// closure call. Keys pack (at << packSeqBits | seq) into one uint64 —
-	// the lexicographic (at, seq) order is a plain integer compare, which
-	// the sift loops turn into branchless conditional moves — and since
-	// seq increments exactly once per push, the key's low bits double as
-	// the payload index into the flat pay array. Floods whose virtual
-	// times or send counts exceed the packed ranges (hundreds of virtual
-	// seconds; 16M sends) migrate once to the wide 16-byte-key heap and
-	// finish there, preserving the identical total order. Launches are
+	// The event queue: a monotone radix queue keyed on arrival time with
+	// the message bodies stored inline (see eventQueue). Launches are
 	// interned in their own table — one entry per (emit, tree) batch —
 	// instead of being embedded per message.
-	heap     []uint64
-	wheap    []heapKey
-	wide     bool
-	pay      []flight
-	seq      uint32
+	queue    eventQueue
 	launches []launchRef
 	sends    []core.Send // reusable ForwardInto target
 
@@ -98,18 +89,9 @@ type Kernel struct {
 	tround int32
 }
 
-// heapKey orders in-flight messages by (arrival time, global send
-// sequence) — a total order, so the pop sequence is unique regardless of
-// heap shape and results stay bit-identical across heap rewrites.
-type heapKey struct {
-	at  time.Duration
-	seq uint32
-}
-
-// flight is one scheduled message body, indexed by its key's seq.
-// Populations stay far below 2³¹ peers and per-query sequence numbers
-// below 2³². The serving tree lives in the launch table entry; toPos is
-// the target's position within that launch's adjacency (-1 for blind
+// flight is one scheduled message body. Populations stay far below 2³¹
+// peers. The serving tree lives in the launch table entry; toPos is the
+// target's position within that launch's adjacency (-1 for blind
 // copies).
 type flight struct {
 	to     int32
@@ -119,11 +101,108 @@ type flight struct {
 	ttl    int32
 }
 
-func keyLess(a, b heapKey) bool {
-	if a.at != b.at {
-		return a.at < b.at
+// eventQueue is a monotone radix queue over arrival times, with every
+// message body stored inline in its bucket (no side payload array, no
+// packed keys, no range limits). Bucket i holds the events whose time
+// first differs from last — the time of the last pop — in bit i-1
+// (bucket 0: equal to last), so bucket 0 is exactly the set of events
+// due now and the smallest non-empty bucket above it holds the next
+// time.
+//
+// The order it pops is the lexicographic (at, seq) order of a heap over
+// arrival time and push sequence, without storing seq: all events of
+// one time sit in one bucket (the index is a function of the time), and
+// within a bucket they stay in push order, because pushes append and a
+// redistribution moves a whole bucket, in order, into buckets below it
+// that are empty. Bucket 0 is popped first-in first-out.
+//
+// Times must be non-negative. A push before last — HPF converts its
+// clock through float milliseconds, so a zero-delay hop can land 1 ns
+// early — re-buckets every queued event around the new time, keeping
+// the exact order.
+type eventQueue struct {
+	last   time.Duration
+	n      int
+	head   int    // popped prefix of b[0]
+	occ    uint64 // bit i set when b[i] is non-empty, for i >= 1
+	pushes int    // pushes since reset, for the heap.pushes counter
+	b      [64][]event
+	tmp    []event // re-bucketing scratch
+}
+
+// event is one queued message: its arrival time and its body.
+type event struct {
+	at time.Duration
+	flight
+}
+
+func (q *eventQueue) reset() {
+	for i := range q.b {
+		q.b[i] = q.b[i][:0]
 	}
-	return a.seq < b.seq
+	q.last, q.n, q.head, q.occ, q.pushes = 0, 0, 0, 0, 0
+}
+
+func (q *eventQueue) len() int { return q.n }
+
+func (q *eventQueue) push(at time.Duration, f flight) {
+	if at < q.last {
+		q.rebucket(at)
+	}
+	i := bits.Len64(uint64(at ^ q.last))
+	q.b[i] = append(q.b[i], event{at: at, flight: f})
+	q.occ |= 1 << i
+	q.n++
+	q.pushes++
+}
+
+// pop removes the earliest event; the queue must be non-empty.
+func (q *eventQueue) pop() (time.Duration, flight) {
+	if q.head == len(q.b[0]) {
+		q.b[0], q.head = q.b[0][:0], 0
+		// The smallest non-empty bucket holds the next time; every event
+		// in it shares the bits above its index with that time, so each
+		// lands in a lower, empty bucket.
+		i := bits.TrailingZeros64(q.occ &^ 1)
+		src := q.b[i]
+		next := src[0].at
+		for _, e := range src[1:] {
+			if e.at < next {
+				next = e.at
+			}
+		}
+		q.last = next
+		for _, e := range src {
+			j := bits.Len64(uint64(e.at ^ next))
+			q.b[j] = append(q.b[j], e)
+			q.occ |= 1 << j
+		}
+		q.b[i] = src[:0]
+		q.occ &^= 1 << i
+	}
+	e := &q.b[0][q.head]
+	q.head++
+	q.n--
+	return e.at, e.flight
+}
+
+// rebucket lowers last to at and redistributes every queued event.
+// Events leave each bucket in order, and all events of one time come
+// from one bucket, so equal times keep their push order.
+func (q *eventQueue) rebucket(at time.Duration) {
+	all := append(q.tmp[:0], q.b[0][q.head:]...)
+	q.b[0], q.head = q.b[0][:0], 0
+	for i := 1; i < len(q.b); i++ {
+		all = append(all, q.b[i]...)
+		q.b[i] = q.b[i][:0]
+	}
+	q.last, q.occ = at, 0
+	for _, e := range all {
+		j := bits.Len64(uint64(e.at ^ at))
+		q.b[j] = append(q.b[j], e)
+		q.occ |= 1 << j
+	}
+	q.tmp = all[:0]
 }
 
 type launchRef struct {
@@ -167,167 +246,6 @@ type Flight struct {
 // amortize.
 func NewKernel() *Kernel { return &Kernel{} }
 
-// Packed-key layout: the low packSeqBits bits hold the send sequence,
-// the rest the non-negative arrival time in nanoseconds — so the packed
-// integer order IS the lexicographic (at, seq) order. Both ranges are
-// far beyond any realistic flood (~1100 virtual seconds, 16M sends per
-// query); a flood that exceeds either migrates once to the wide heap.
-const (
-	packSeqBits = 24
-	packSeqMask = (1 << packSeqBits) - 1
-	maxPackAt   = (uint64(1) << (64 - packSeqBits)) - 1
-)
-
-// The heap is 4-ary with hole-based sifting: half the tree depth of a
-// binary heap, eight packed keys per cache line, and the displaced
-// element is written exactly once instead of swapped at every level.
-// pushFlight appends the payload and schedules its key; the returned
-// seq of popFlight indexes k.pay.
-func (k *Kernel) pushFlight(at time.Duration, f flight) {
-	seq := k.seq
-	k.pay = append(k.pay, f)
-	k.seq++
-	if !k.wide {
-		if uint64(at) <= maxPackAt && seq <= packSeqMask {
-			key := uint64(at)<<packSeqBits | uint64(seq)
-			h := append(k.heap, key)
-			i := len(h) - 1
-			for i > 0 {
-				p := (i - 1) >> 2
-				if key >= h[p] {
-					break
-				}
-				h[i] = h[p]
-				i = p
-			}
-			h[i] = key
-			k.heap = h
-			return
-		}
-		k.widen()
-	}
-	key := heapKey{at: at, seq: seq}
-	h := append(k.wheap, key)
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) >> 2
-		if !keyLess(key, h[p]) {
-			break
-		}
-		h[i] = h[p]
-		i = p
-	}
-	h[i] = key
-	k.wheap = h
-}
-
-// widen migrates the packed heap to the wide layout mid-flood. Unpacking
-// is order-isomorphic, so the array keeps the heap property as is.
-func (k *Kernel) widen() {
-	if cap(k.wheap) < len(k.heap) {
-		k.wheap = make([]heapKey, len(k.heap))
-	}
-	w := k.wheap[:len(k.heap)]
-	for i, key := range k.heap {
-		w[i] = heapKey{at: time.Duration(key >> packSeqBits), seq: uint32(key & packSeqMask)}
-	}
-	k.wheap = w
-	k.heap = k.heap[:0]
-	k.wide = true
-}
-
-func (k *Kernel) popFlight() heapKey {
-	if k.wide {
-		return k.popWide()
-	}
-	h := k.heap
-	top := h[0]
-	n := len(h) - 1
-	last := h[n]
-	h = h[:n]
-	k.heap = h
-	if n > 0 {
-		i := 0
-		for {
-			c := 4*i + 1
-			if c >= n {
-				break
-			}
-			var m int
-			if c+4 <= n {
-				// Full fan-out: a 2+2 tournament of single-word
-				// compares, which the compiler lowers to conditional
-				// moves — no data-dependent branches in the hot sift.
-				m01 := c
-				if h[c+1] < h[m01] {
-					m01 = c + 1
-				}
-				m23 := c + 2
-				if h[c+3] < h[m23] {
-					m23 = c + 3
-				}
-				m = m01
-				if h[m23] < h[m01] {
-					m = m23
-				}
-			} else {
-				m = c
-				for j := c + 1; j < n; j++ {
-					if h[j] < h[m] {
-						m = j
-					}
-				}
-			}
-			if last <= h[m] {
-				break
-			}
-			h[i] = h[m]
-			i = m
-		}
-		h[i] = last
-	}
-	return heapKey{at: time.Duration(top >> packSeqBits), seq: uint32(top & packSeqMask)}
-}
-
-func (k *Kernel) popWide() heapKey {
-	h := k.wheap
-	top := h[0]
-	n := len(h) - 1
-	last := h[n]
-	h = h[:n]
-	k.wheap = h
-	if n == 0 {
-		return top
-	}
-	i := 0
-	for {
-		c := 4*i + 1
-		if c >= n {
-			break
-		}
-		m := c
-		e := c + 4
-		if e > n {
-			e = n
-		}
-		for j := c + 1; j < e; j++ {
-			if keyLess(h[j], h[m]) {
-				m = j
-			}
-		}
-		if !keyLess(h[m], last) {
-			break
-		}
-		h[i] = h[m]
-		i = m
-	}
-	h[i] = last
-	return top
-}
-
-// queueLen reports the number of in-flight messages.
-func (k *Kernel) queueLen() int { return len(k.heap) + len(k.wheap) }
-
 var kernelPool = sync.Pool{New: func() any { cKernelAllocs.Inc(); return NewKernel() }}
 
 // AcquireKernel takes a kernel from the shared pool.
@@ -366,11 +284,7 @@ func (k *Kernel) Begin(net *overlay.Network, fwd core.Forwarder, trace bool) {
 		k.epoch = 1
 	}
 	k.order = k.order[:0]
-	k.heap = k.heap[:0]
-	k.wheap = k.wheap[:0]
-	k.wide = false
-	k.pay = k.pay[:0]
-	k.seq = 0
+	k.queue.reset()
 	for i := range k.launches {
 		k.launches[i] = launchRef{} // release the trees of the last flood
 	}
@@ -560,12 +474,12 @@ func (k *Kernel) ForwardOf(src, p, from, serving overlay.PeerID, adj *core.TreeA
 // continuing), so the dedup check, the launch-table entry, and the served
 // mark each happen once per run rather than once per send.
 func (k *Kernel) Emit(at time.Duration, from overlay.PeerID, sends []core.Send, ttl int) {
-	// One cached-vector view prices the whole batch from this sender;
-	// the fallback keeps bit-identical values when the vector is cold.
-	cv, cvOK := overlay.CostView{}, false
-	if len(sends) > 0 {
-		cv, cvOK = k.net.CostsFromCached(from)
-	}
+	// Memoized tree costs price almost every send; the first send
+	// without one fetches this sender's cached-vector view for the rest
+	// of the batch, and the fallback keeps bit-identical values when the
+	// vector is cold.
+	var cv overlay.CostView
+	cvOK, cvFetched := false, false
 	tx0 := k.transmissions
 	for i := 0; i < len(sends); {
 		tree := sends[i].Tree
@@ -582,15 +496,20 @@ func (k *Kernel) Emit(at time.Duration, from overlay.PeerID, sends []core.Send, 
 		for ; i < len(sends) && sends[i].Tree == tree; i++ {
 			s := &sends[i]
 			var c float64
-			switch {
-			case s.Cost >= 0:
+			if s.Cost >= 0 {
 				// Memoized sender-side edge delay — same float the view
 				// lookup would produce, without touching the vector.
 				c = float64(s.Cost)
-			case cvOK:
-				c = cv.To(s.To)
-			default:
-				c = k.net.Cost(from, s.To)
+			} else {
+				if !cvFetched {
+					cv, cvOK = k.net.CostsFromCached(from)
+					cvFetched = true
+				}
+				if cvOK {
+					c = cv.To(s.To)
+				} else {
+					c = k.net.Cost(from, s.To)
+				}
 			}
 			k.traffic += c
 			k.transmissions++
@@ -611,7 +530,7 @@ func (k *Kernel) Emit(at time.Duration, from overlay.PeerID, sends []core.Send, 
 				}
 				c = k.inj.TransitDelay(c, k.nonce, int(from), int(s.To), seq)
 			}
-			k.pushFlight(at+delayDur(c), flight{to: int32(s.To), from: int32(from), toPos: s.ToPos, launch: idx, ttl: int32(ttl)})
+			k.queue.push(at+delayDur(c), flight{to: int32(s.To), from: int32(from), toPos: s.ToPos, launch: idx, ttl: int32(ttl)})
 		}
 		if tree != core.NoTree {
 			k.servedAdd(from, tree)
@@ -627,18 +546,17 @@ func (k *Kernel) Emit(at time.Duration, from overlay.PeerID, sends []core.Send, 
 // Push schedules one raw tree-less transmission at absolute virtual time
 // at, without cost accounting — for engines (HPF) that do their own.
 func (k *Kernel) Push(at time.Duration, from, to overlay.PeerID, ttl int) {
-	k.pushFlight(at, flight{to: int32(to), from: int32(from), toPos: -1, launch: -1, ttl: int32(ttl)})
+	k.queue.push(at, flight{to: int32(to), from: int32(from), toPos: -1, launch: -1, ttl: int32(ttl)})
 }
 
 // Next pops the earliest in-flight transmission, reporting false when
 // the flood has drained.
 func (k *Kernel) Next() (Flight, bool) {
-	if k.queueLen() == 0 {
+	if k.queue.len() == 0 {
 		return Flight{}, false
 	}
-	key := k.popFlight()
-	m := &k.pay[key.seq]
-	f := Flight{At: key.at, To: overlay.PeerID(m.to), From: overlay.PeerID(m.from), Serving: core.NoTree, ToPos: m.toPos, TTL: int(m.ttl)}
+	at, m := k.queue.pop()
+	f := Flight{At: at, To: overlay.PeerID(m.to), From: overlay.PeerID(m.from), Serving: core.NoTree, ToPos: m.toPos, TTL: int(m.ttl)}
 	if m.launch >= 0 {
 		l := &k.launches[m.launch]
 		f.Serving, f.Adj, f.Covered = l.tree, l.adj, l.covered

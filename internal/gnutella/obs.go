@@ -6,13 +6,12 @@ import "ace/internal/obs"
 // hot loop is left untouched: every total below already accumulates in
 // the kernel's plain per-query fields, so one ObserveFlood call per
 // drained flood folds them into the registry — no atomic traffic inside
-// the sift/emit paths even when observability is enabled.
+// the queue/emit paths even when observability is enabled.
 var (
 	cFloods     = obs.NewCounter("ace.gnutella.floods")
 	cSends      = obs.NewCounter("ace.gnutella.sends")
 	cDuplicates = obs.NewCounter("ace.gnutella.duplicates")
 	cHeapPushes = obs.NewCounter("ace.gnutella.heap.pushes")
-	cHeapWiden  = obs.NewCounter("ace.gnutella.heap.widen")
 	hScope      = obs.NewHistogram("ace.gnutella.scope")
 	hSends      = obs.NewHistogram("ace.gnutella.flood.sends")
 
@@ -38,10 +37,7 @@ func (k *Kernel) ObserveFlood() {
 	cFloods.Inc()
 	cSends.Add(uint64(k.transmissions))
 	cDuplicates.Add(uint64(k.duplicates))
-	cHeapPushes.Add(uint64(k.seq))
-	if k.wide {
-		cHeapWiden.Inc()
-	}
+	cHeapPushes.Add(uint64(k.queue.pushes))
 	hScope.Observe(uint64(k.scope))
 	hSends.Observe(uint64(k.transmissions))
 	cMsgLost.Add(uint64(k.lost))
